@@ -8,11 +8,16 @@ configuration.  Loading against a different taxonomy is refused.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .errors import FileUnreadable, ModelFormatError, TaxonomyMismatch
+from .errors import (
+    FileUnreadable,
+    LengthMismatch,
+    ModelFormatError,
+    TaxonomyMismatch,
+)
 from .relations import RelationScorerParams
 from .tagger import TaggerParams, TrainConfig
 from .taxonomy import TaxonomyTree
@@ -72,32 +77,58 @@ def save_model(
         fh.write("\n")
 
 
+def _is_int(obj) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def _int(obj, name: str, low: int) -> int:
+    if not _is_int(obj) or obj < low:
+        raise ModelFormatError(f"field {name!r} must be an integer >= {low}")
+    return obj
+
+
 def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
     """Load a model file, checking it against ``tree`` when supplied.
 
     Without a tree the taxonomy is rebuilt from the embedded edges and
-    verified against the stored hash.
+    verified against the stored hash.  A file that is not a well-formed
+    model raises ``ModelFormatError``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise FileUnreadable(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
 
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unknown model format")
     try:
         stored_hash = doc["taxonomy_hash"]
-        edges = [tuple(e) for e in doc["taxonomy_edges"]]
+        edges = doc["taxonomy_edges"]
         tagger_doc = doc["tagger"]
-        vocab = dict(tagger_doc["vocab"])
+        vocab = tagger_doc["vocab"]
         labels = tuple(tagger_doc["labels"])
+        window = _int(tagger_doc["window"], "tagger.window", 0)
+        embed_dim = _int(tagger_doc["embed_dim"], "tagger.embed_dim", 1)
+        embeddings = _array(tagger_doc["embeddings"], "embeddings")
+        weights = _array(tagger_doc["weights"], "weights")
+        bias = _array(tagger_doc["bias"], "bias")
+        rel_doc = doc.get("relations")
+        if rel_doc is not None:
+            rel_weights = _array(rel_doc["weights"], "relations.weights")
+            kinds = tuple(rel_doc["kinds"])
+            cap = _int(rel_doc["distance_cap"], "relations.distance_cap", 0)
     except (KeyError, TypeError) as exc:
-        raise ModelFormatError(f"{path}: missing field {exc}") from exc
+        raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from exc
 
-    embedded = TaxonomyTree.from_edges(edges)
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(n, str) for n in e)
+        for e in edges
+    ):
+        raise ModelFormatError("taxonomy_edges must be [parent, child] name pairs")
+    embedded = TaxonomyTree.from_edges([tuple(e) for e in edges])
     if embedded.config_hash != stored_hash:
         raise TaxonomyMismatch("embedded taxonomy does not match its stored hash")
     if tree is not None:
@@ -108,28 +139,43 @@ def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
             )
         embedded = tree
 
-    tagger = TaggerParams(
-        vocab=vocab,
-        labels=labels,
-        window=int(tagger_doc["window"]),
-        embed_dim=int(tagger_doc["embed_dim"]),
-        embeddings=_array(tagger_doc["embeddings"], "embeddings"),
-        weights=_array(tagger_doc["weights"], "weights"),
-        bias=_array(tagger_doc["bias"], "bias"),
-    )
-
-    relations = None
-    if doc.get("relations") is not None:
-        rel_doc = doc["relations"]
-        relations = RelationScorerParams(
-            weights=_array(rel_doc["weights"], "relations.weights"),
-            kinds=tuple(rel_doc["kinds"]),
-            distance_cap=int(rel_doc["distance_cap"]),
+    if embeddings.ndim != 2 or embeddings.shape[1] != embed_dim or not len(embeddings):
+        raise ModelFormatError(
+            f"embeddings shape {embeddings.shape} does not match embed_dim {embed_dim}"
         )
+    if not isinstance(vocab, dict) or not all(
+        _is_int(i) and 1 <= i < len(embeddings) for i in vocab.values()
+    ):
+        raise ModelFormatError(
+            f"vocab ids must be integers in 1..{len(embeddings) - 1}"
+        )
+    try:
+        tagger = TaggerParams(
+            vocab=vocab,
+            labels=labels,
+            window=window,
+            embed_dim=embed_dim,
+            embeddings=embeddings,
+            weights=weights,
+            bias=bias,
+        )
+        relations = None
+        if rel_doc is not None:
+            relations = RelationScorerParams(
+                weights=rel_weights, kinds=kinds, distance_cap=cap
+            )
+    except LengthMismatch as exc:
+        raise ModelFormatError(str(exc)) from exc
 
     train_config = None
-    if doc.get("train_config") is not None:
-        train_config = TrainConfig(**doc["train_config"])
+    cfg_doc = doc.get("train_config")
+    if cfg_doc is not None:
+        known = {f.name for f in fields(TrainConfig)}
+        if not isinstance(cfg_doc, dict) or not set(cfg_doc) <= known:
+            raise ModelFormatError(
+                f"train_config must be an object with keys among {sorted(known)}"
+            )
+        train_config = TrainConfig(**cfg_doc)
 
     return LoadedModel(
         tree=embedded, tagger=tagger, relations=relations, train_config=train_config

@@ -10,7 +10,8 @@ lower learning rate.  All updates use the analytic gradients from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,25 +110,53 @@ def _token_ids(vocab: dict[str, int], tokens) -> np.ndarray:
     return np.array([vocab.get(tok, OOV_INDEX) for tok in tokens], dtype=int)
 
 
-def _prepare(ds: Dataset, tag_labels: tuple[str, ...], vocab: dict[str, int]):
-    """Per-report token id arrays and gold label names."""
-    known = set(tag_labels)
+class _Sample(NamedTuple):
+    """One report, ready for training.
+
+    ``slots`` indexes the rows of the (T * (2w+1), E) view of a window
+    feature gradient that fall inside the report, window slot by window
+    slot; ``rows`` is the embedding row each of them reads.
+    """
+
+    token_ids: np.ndarray
+    gold: np.ndarray
+    slots: np.ndarray
+    rows: np.ndarray
+
+
+def _prepare(ds: Dataset, tag_tree: TaxonomyTree, vocab: dict[str, int], window: int):
+    """Per-report token ids, gold leaf indices and window scatter indices."""
+    leaf_pos = {name: i for i, name in enumerate(tag_tree.leaves)}
+    span = 2 * window + 1
     samples = []
     for report in ds.reports:
         labeling = to_token_labeling(report)
         for lab in labeling.labels:
-            if lab not in known:
+            if lab not in leaf_pos:
                 raise TaxonomyMismatch(
                     f"{report.doc_id}: label {lab!r} is not a taxonomy leaf"
                 )
-        samples.append((_token_ids(vocab, report.tokens), labeling.labels))
+        token_ids = _token_ids(vocab, report.tokens)
+        t = len(token_ids)
+        # src[j, i]: the position window slot j of token i reads.
+        src = np.arange(t) - window + np.arange(span)[:, None]
+        ok = (src >= 0) & (src < t)
+        slots = (np.arange(t) * span + np.arange(span)[:, None])[ok]
+        samples.append(
+            _Sample(
+                token_ids,
+                np.array([leaf_pos[lab] for lab in labeling.labels], dtype=np.intp),
+                slots,
+                token_ids[src[ok]],
+            )
+        )
     return samples
 
 
 def _run_phase(
     params: TaggerParams,
     tag_tree: TaxonomyTree,
-    samples,
+    samples: list[_Sample],
     loss_fn,
     epochs: int,
     lr: float,
@@ -136,55 +165,60 @@ def _run_phase(
     phase: int,
     on_epoch,
 ) -> None:
-    w, e = cfg.window, cfg.embed_dim
+    """Minibatch gradient descent with one loss call per minibatch.
+
+    Window features are built report by report, so windows never cross
+    report boundaries; only the logits of a minibatch are stacked.
+    """
+    e = cfg.embed_dim
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(samples))
         loss_sum = 0.0
+        depth_sums: dict[int, float] = {}
+        clamped = 0
         token_count = 0
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
+            batch = [
+                samples[s]
+                for s in order[start : start + cfg.batch_size]
+                if len(samples[s].token_ids)
+            ]
+            if not batch:
+                continue
+            feats = [_window_features(params, s.token_ids) for s in batch]
+            logits = np.concatenate([phi @ params.weights for phi in feats])
+            report = loss_fn(
+                tag_tree, logits + params.bias, np.concatenate([s.gold for s in batch])
+            )
+            loss_sum += report.loss
+            clamped += report.clamped
+            for d, v in report.per_depth.items():
+                depth_sums[d] = depth_sums.get(d, 0.0) + v
+
             d_emb = np.zeros_like(params.embeddings)
             d_w = np.zeros_like(params.weights)
-            d_b = np.zeros_like(params.bias)
-            n = 0
-            for s in batch:
-                token_ids, gold = samples[s]
-                t = len(token_ids)
-                if t == 0:
-                    continue
-                phi = _window_features(params, token_ids)
-                logits = phi @ params.weights + params.bias
-                grads = np.zeros_like(logits)
-                for i in range(t):
-                    report = loss_fn(tag_tree, logits[i], gold[i])
-                    loss_sum += report.loss
-                    grads[i] = report.grad
-                d_w += phi.T @ grads
-                d_b += grads.sum(axis=0)
-                d_phi = grads @ params.weights.T
-                positions = np.arange(t)
-                for j in range(2 * w + 1):
-                    src = positions - w + j
-                    ok = (src >= 0) & (src < t)
-                    np.add.at(
-                        d_emb,
-                        token_ids[src[ok]],
-                        d_phi[ok, j * e : (j + 1) * e],
-                    )
-                n += t
-            if n == 0:
-                continue
+            ends = np.cumsum([len(s.token_ids) for s in batch])
+            for s, phi, g in zip(batch, feats, np.split(report.grad, ends[:-1])):
+                d_w += phi.T @ g
+                d_phi = (g @ params.weights.T).reshape(-1, e)
+                np.add.at(d_emb, s.rows, d_phi[s.slots])
+            n = int(ends[-1])
             token_count += n
             params.weights -= lr * (d_w / n + cfg.l2 * params.weights)
-            params.bias -= lr * (d_b / n)
+            params.bias -= lr * (report.grad.sum(axis=0) / n)
             params.embeddings -= lr * (d_emb / n)
         if on_epoch is not None:
+            per_token = token_count or 1
             on_epoch(
                 {
                     "phase": phase,
                     "epoch": epoch,
-                    "loss": loss_sum / token_count if token_count else 0.0,
+                    "loss": loss_sum / per_token,
                     "tokens": token_count,
+                    "per_depth": {
+                        d: v / per_token for d, v in sorted(depth_sums.items())
+                    },
+                    "clamped": clamped,
                 }
             )
 
@@ -206,8 +240,8 @@ def train_two_phase(
 
     tag_tree = tag_tree_for(tree)
     vocab = build_vocab(ds)
-    samples = _prepare(ds, tag_tree.leaves, vocab)
-    if not any(len(ids) for ids, _ in samples):
+    samples = _prepare(ds, tag_tree, vocab, cfg.window)
+    if not any(len(s.token_ids) for s in samples):
         raise EmptyDataset("no tokens to train on")
 
     rng = np.random.default_rng(cfg.seed)

@@ -66,13 +66,29 @@ class TaxonomyTree:
     ``leaves`` is the persisted logit order: leaf i carries logit i.
     ``edges`` preserves the declaration order of the source config and
     is the canonical form used for hashing and model persistence.
+
+    The batched losses read the tree as matrices over ``mass_nodes``, the
+    leaves in logit order followed by the internal nodes breadth-first
+    (root first): ``ancestors[i, k]`` is 1.0 when node k lies on the
+    root-to-leaf path of leaf i (both ends included), so a (rows x
+    leaves) softmax times ``ancestors`` gives every node mass;
+    ``path_masks`` is the same path without the root; ``node_depths``
+    gives each column's depth.  These arrays are read-only.
     """
 
     nodes: dict[str, TaxonomyNode]
     leaves: tuple[str, ...]
     max_depth: int
     edges: tuple[tuple[str, str], ...]
+    mass_nodes: tuple[str, ...] = field(repr=False)
+    ancestors: np.ndarray = field(repr=False)
+    path_masks: np.ndarray = field(repr=False)
+    node_depths: np.ndarray = field(repr=False)
     _leaf_indices: dict[str, tuple[int, ...]] = field(repr=False, default_factory=dict)
+    # Trees made by with_extra_leaf, keyed by (name, parent).
+    _extended: dict[tuple[str, str], "TaxonomyTree"] = field(
+        repr=False, default_factory=dict
+    )
 
     # -- construction --------------------------------------------------------
 
@@ -176,12 +192,29 @@ class TaxonomyTree:
 
         collect(ROOT_NAME)
 
+        mass_nodes = leaves + tuple(n for n in order if not nodes[n].is_leaf)
+        column = {n: k for k, n in enumerate(mass_nodes)}
+        ancestors = np.zeros((len(leaves), len(mass_nodes)))
+        for i, leaf in enumerate(leaves):
+            cur: str | None = leaf
+            while cur is not None:
+                ancestors[i, column[cur]] = 1.0
+                cur = parent_of.get(cur)
+        node_depths = np.array([depth_of[n] for n in mass_nodes])
+        path_masks = (ancestors > 0.0) & (node_depths > 0)
+        for arr in (ancestors, path_masks, node_depths):
+            arr.flags.writeable = False
+
         return cls(
             nodes=nodes,
             leaves=leaves,
             max_depth=max(depth_of.values()),
             edges=tuple(edges),
             _leaf_indices=leaf_indices,
+            mass_nodes=mass_nodes,
+            ancestors=ancestors,
+            path_masks=path_masks,
+            node_depths=node_depths,
         )
 
     # -- queries -------------------------------------------------------------
@@ -255,11 +288,17 @@ class TaxonomyTree:
         """A new tree with one more leaf appended under ``parent``.
 
         Used to attach the non-entity class under the root for tagging;
-        the appended leaf takes the last logit index.
+        the appended leaf takes the last logit index.  The new tree is
+        built once per (name, parent) and shared by later calls.
         """
         if name in self.nodes:
             raise DuplicateNode(f"node {name!r} already exists")
-        return TaxonomyTree.from_edges(list(self.edges) + [(parent, name)])
+        key = (name, parent)
+        if key not in self._extended:
+            self._extended[key] = TaxonomyTree.from_edges(
+                list(self.edges) + [(parent, name)]
+            )
+        return self._extended[key]
 
 
 def build_tree(config_text: str) -> TaxonomyTree:
@@ -300,16 +339,20 @@ def load_taxonomy(name_or_path: str) -> TaxonomyTree:
 
 
 def leaf_distribution(tree: TaxonomyTree, logits) -> np.ndarray:
-    """Softmax over the leaf logits, computed shift-invariantly."""
+    """Softmax over the leaf logits, computed shift-invariantly.
+
+    ``logits`` is one row of leaf logits or a (rows x leaves) matrix,
+    normalised row by row.
+    """
     x = np.asarray(logits, dtype=np.float64)
-    if x.shape != (len(tree.leaves),):
+    if x.ndim not in (1, 2) or x.shape[-1] != len(tree.leaves):
         raise LengthMismatch(
-            f"expected {len(tree.leaves)} logits, got shape {x.shape}"
+            f"expected {len(tree.leaves)} logits per row, got shape {x.shape}"
         )
     if not np.all(np.isfinite(x)):
         raise NonFiniteLogit("logits must be finite")
-    z = np.exp(x - x.max())
-    return z / z.sum()
+    z = np.exp(x - x.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 def propagate(tree: TaxonomyTree, dist) -> dict[str, float]:

@@ -1,14 +1,24 @@
 """Independent reference implementations used to certify the package.
 
 Everything here is deliberately naive: extended-precision arithmetic,
-path walks instead of recursion, and exhaustive assignment search
-instead of counting tricks.  Slow is fine; agreeing with these is the
-point.
+path walks instead of recursion, exhaustive assignment search instead
+of counting tricks, and a per-token training loop instead of batched
+array maths.  Slow is fine; agreeing with these is the point.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
+import numpy as np
+
+from hiergraph import (
+    TaggerParams,
+    build_vocab,
+    conditional_hier_loss,
+    tag_tree_for,
+    to_token_labeling,
+    unconditional_loss,
+)
 
 mp.mp.dps = 50
 
@@ -112,3 +122,93 @@ def brute_pooled_f1(count_dicts):
     p = tp / pred if pred else 0.0
     r = tp / gold if gold else 0.0
     return 2 * p * r / (p + r) if p + r else 0.0
+
+
+def reference_train(ds, tree, cfg):
+    """``train_two_phase`` as a per-token loop: one single-row loss call per
+    token and 2w+1 embedding scatter-adds per report.
+
+    Returns the parameters and the epoch records (phase, epoch, mean loss,
+    tokens, mean per-depth loss, clamped tokens).
+    """
+    tag_tree = tag_tree_for(tree)
+    vocab = build_vocab(ds)
+    samples = [
+        (
+            np.array([vocab.get(tok, 0) for tok in r.tokens], dtype=int),
+            to_token_labeling(r).labels,
+        )
+        for r in ds.reports
+    ]
+    rng = np.random.default_rng(cfg.seed)
+    w, e = cfg.window, cfg.embed_dim
+    params = TaggerParams(
+        vocab=vocab,
+        labels=tag_tree.leaves,
+        window=w,
+        embed_dim=e,
+        embeddings=rng.normal(0.0, 0.1, size=(len(vocab) + 1, e)),
+        weights=np.zeros(((2 * w + 1) * e, len(tag_tree.leaves))),
+        bias=np.zeros(len(tag_tree.leaves)),
+    )
+
+    def features(token_ids):
+        t = len(token_ids)
+        padded = np.zeros((t + 2 * w, e))
+        padded[w : w + t] = params.embeddings[token_ids]
+        return np.concatenate([padded[j : j + t] for j in range(2 * w + 1)], axis=1)
+
+    records = []
+    phases = (
+        (1, conditional_hier_loss, cfg.phase1_epochs, cfg.lr_phase1),
+        (2, unconditional_loss, cfg.phase2_epochs, cfg.lr_phase2),
+    )
+    for phase, loss_fn, epochs, lr in phases:
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(len(samples))
+            loss_sum, per_depth, clamped, token_count = 0.0, {}, 0, 0
+            for start in range(0, len(order), cfg.batch_size):
+                d_emb = np.zeros_like(params.embeddings)
+                d_w = np.zeros_like(params.weights)
+                d_b = np.zeros_like(params.bias)
+                n = 0
+                for s in order[start : start + cfg.batch_size]:
+                    token_ids, gold = samples[s]
+                    t = len(token_ids)
+                    if t == 0:
+                        continue
+                    phi = features(token_ids)
+                    logits = phi @ params.weights + params.bias
+                    grads = np.zeros_like(logits)
+                    for i in range(t):
+                        rep = loss_fn(tag_tree, logits[i], gold[i])
+                        loss_sum += rep.loss
+                        clamped += rep.clamped
+                        for d, v in rep.per_depth.items():
+                            per_depth[d] = per_depth.get(d, 0.0) + v
+                        grads[i] = rep.grad
+                    d_w += phi.T @ grads
+                    d_b += grads.sum(axis=0)
+                    d_phi = grads @ params.weights.T
+                    positions = np.arange(t)
+                    for j in range(2 * w + 1):
+                        src = positions - w + j
+                        ok = (src >= 0) & (src < t)
+                        np.add.at(d_emb, token_ids[src[ok]], d_phi[ok, j * e : (j + 1) * e])
+                    n += t
+                if n == 0:
+                    continue
+                token_count += n
+                params.weights -= lr * (d_w / n + cfg.l2 * params.weights)
+                params.bias -= lr * (d_b / n)
+                params.embeddings -= lr * (d_emb / n)
+            per_token = token_count or 1
+            records.append({
+                "phase": phase,
+                "epoch": epoch,
+                "loss": loss_sum / per_token,
+                "tokens": token_count,
+                "per_depth": {d: v / per_token for d, v in sorted(per_depth.items())},
+                "clamped": clamped,
+            })
+    return params, records

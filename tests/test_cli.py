@@ -121,6 +121,20 @@ class TestTrain:
         lines = [json.loads(l) for l in metrics_path.read_text().splitlines()]
         assert lines[0]["_meta"]["taxonomy_hash"] == model["taxonomy_hash"]
         assert [r["phase"] for r in lines[1:]] == [1, 1, 1, 2, 2]
+        for r in lines[1:]:
+            assert r["clamped"] == 0
+            assert r["per_depth"]["0"] == 0.0
+            assert sum(r["per_depth"].values()) == pytest.approx(r["loss"], rel=1e-12)
+
+    def test_divergent_rates_report_clamps(self, work, tmp_path, capsys):
+        out = tmp_path / "diverged.json"
+        args = ["train", str(work["data"]), "--phase1-epochs", "3", "--phase2-epochs", "2",
+                "--lr-phase1", "1e6", "--lr-phase2", "1e5", "--splits", "train", "-o", str(out)]
+        assert main(args) == 0
+        lines = (tmp_path / "diverged.json.metrics.jsonl").read_text().splitlines()
+        records = [json.loads(l) for l in lines[1:]]
+        assert sum(r["clamped"] for r in records) > 0
+        assert all(r["clamped"] <= r["tokens"] for r in records)
 
     def test_deterministic_output(self, work, tmp_path, capsys):
         args = [
@@ -255,6 +269,60 @@ class TestPredictEval:
         bad.write_text(json.dumps(doc))
         assert main(["predict", str(bad), str(work["data"]), "-o", str(tmp_path / "p.json")]) == 2
         capsys.readouterr()
+
+
+class TestMalformedModel:
+    """Each malformed model makes predict exit 2 with a one-line error."""
+
+    @staticmethod
+    def _predict(work, tmp_path, capsys, edit):
+        doc = json.loads(work["model"].read_text())
+        edit(doc)
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["predict", str(bad), str(work["data"]), "-o", str(tmp_path / "p.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("invalid:") and "Traceback" not in err
+        assert not (tmp_path / "p.json").exists()
+        return err
+
+    def test_missing_window(self, work, tmp_path, capsys):
+        err = self._predict(work, tmp_path, capsys, lambda d: d["tagger"].pop("window"))
+        assert "window" in err
+
+    def test_non_integer_window(self, work, tmp_path, capsys):
+        for value in (1.5, "2", True, -1):
+            def edit(d, value=value):
+                d["tagger"]["window"] = value
+            assert "tagger.window" in self._predict(work, tmp_path, capsys, edit)
+
+    def test_unknown_train_config_key(self, work, tmp_path, capsys):
+        def edit(d):
+            d["train_config"]["momentum"] = 0.9
+        assert "train_config" in self._predict(work, tmp_path, capsys, edit)
+
+    def test_vocab_id_beyond_embeddings(self, work, tmp_path, capsys):
+        def edit(d):
+            d["tagger"]["vocab"]["the"] = 10**6
+        assert "vocab" in self._predict(work, tmp_path, capsys, edit)
+
+    def test_embedding_width(self, work, tmp_path, capsys):
+        def edit(d):
+            d["tagger"]["embed_dim"] += 1
+        assert "embed_dim" in self._predict(work, tmp_path, capsys, edit)
+
+    def test_not_utf8(self, work, tmp_path, capsys):
+        bad = tmp_path / "binary_model.json"
+        bad.write_bytes(b"\xff\xfe\x00not json")
+        code = main(["predict", str(bad), str(work["data"]), "-o", str(tmp_path / "p.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("invalid:")
+
+    def test_bad_edges(self, work, tmp_path, capsys):
+        def edit(d):
+            d["taxonomy_edges"][0].append("EXTRA")
+        assert "taxonomy_edges" in self._predict(work, tmp_path, capsys, edit)
 
 
 class TestKappaPruneDot:

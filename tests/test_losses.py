@@ -13,9 +13,11 @@ from hiergraph import (
     check_loss_gradients,
     conditional_hier_loss,
     gradient_check,
+    leaf_distribution,
+    tag_tree_for,
     unconditional_loss,
 )
-from hiergraph.losses import LOSS_CEILING
+from hiergraph.losses import LOSS_CEILING, TINY
 
 from oracles import mp_conditional_loss, mp_unconditional_loss
 
@@ -241,3 +243,88 @@ class TestGradients:
                 want = (mp_conditional_loss(tree3, up, gold)
                         - mp_conditional_loss(tree3, dn, gold)) / (2 * h)
                 assert rep.grad[i] == pytest.approx(float(want), abs=1e-10)
+
+
+class TestBatch:
+    """(N, leaves) logits give the row-by-row results, summed."""
+
+    @staticmethod
+    def _batch(tree, rng):
+        """Random rows plus one forced underflow and one over the ceiling
+        without underflow (every CHAN leaf far below the rest)."""
+        k = len(tree.leaves)
+        logits = rng.normal(0.0, 3.0, size=(40, k))
+        gold = rng.integers(k, size=40)
+        logits[0, gold[0]] = -1500.0
+        chan = [i for i, leaf in enumerate(tree.leaves) if leaf.startswith("CHAN")]
+        if chan:
+            deep = max(chan, key=lambda i: tree.depth_of(tree.leaves[i]))
+            logits[1] = 0.0
+            logits[1, chan] = -500.0
+            gold[1] = deep
+        return logits, gold
+
+    def test_matches_rows(self, tree3, tree2, tree1):
+        rng = np.random.default_rng(16)
+        for tree in (tag_tree_for(tree3), tag_tree_for(tree2), tag_tree_for(tree1)):
+            logits, gold = self._batch(tree, rng)
+            names = [tree.leaves[i] for i in gold]
+            for fn in (conditional_hier_loss, unconditional_loss):
+                rows = [fn(tree, x, g) for x, g in zip(logits, names)]
+                batch = fn(tree, logits, gold)
+                assert batch.loss == pytest.approx(sum(r.loss for r in rows), rel=1e-12)
+                depths = set().union(*(r.per_depth for r in rows))
+                assert set(batch.per_depth) == depths
+                for d in depths:
+                    want = sum(r.per_depth.get(d, 0.0) for r in rows)
+                    assert batch.per_depth[d] == pytest.approx(want, rel=1e-12, abs=1e-12)
+                np.testing.assert_allclose(
+                    batch.grad, [r.grad for r in rows], rtol=0, atol=1e-14
+                )
+                assert batch.clamped == sum(r.clamped for r in rows)
+                assert rows[0].clamped
+                # Leaf names and leaf indices select the same rows.
+                by_name = fn(tree, logits, names)
+                assert by_name.loss == batch.loss
+                assert np.array_equal(by_name.grad, batch.grad)
+            if tree.leaves[gold[1]].startswith("CHAN"):
+                over = conditional_hier_loss(tree, logits[1], tree.leaves[gold[1]])
+                assert over.clamped and over.loss == LOSS_CEILING
+                mass = leaf_distribution(tree, logits[1]) @ tree.ancestors
+                assert np.all(mass[tree.path_masks[gold[1]]] >= TINY)
+
+    def test_one_row_batch_is_the_single_call(self, tree3):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            logits = rng.normal(size=12) * 3
+            gold = tree3.leaves[rng.integers(12)]
+            for fn in (conditional_hier_loss, unconditional_loss):
+                one = fn(tree3, logits, gold)
+                batch = fn(tree3, logits[None, :], [gold])
+                assert batch.loss == one.loss
+                assert batch.per_depth == one.per_depth
+                assert np.array_equal(batch.grad[0], one.grad)
+                assert batch.clamped == int(one.clamped)
+
+    def test_empty_batch(self, tree3):
+        rep = conditional_hier_loss(tree3, np.zeros((0, 12)), [])
+        assert rep.loss == 0.0 and rep.per_depth == {0: 0.0}
+        assert rep.grad.shape == (0, 12) and rep.clamped == 0
+
+    def test_errors(self, tree3):
+        logits = np.zeros((2, 12))
+        with pytest.raises(LengthMismatch):
+            conditional_hier_loss(tree3, logits, ["ANAT-DP"])
+        with pytest.raises(LengthMismatch):
+            unconditional_loss(tree3, np.zeros((2, 5)), ["ANAT-DP", "OBS-U"])
+        with pytest.raises(LengthMismatch):
+            unconditional_loss(tree3, np.zeros((2, 2, 12)), ["ANAT-DP", "OBS-U"])
+        with pytest.raises(NotALeaf):
+            conditional_hier_loss(tree3, logits, ["ANAT-DP", "CHAN"])
+        with pytest.raises(NotALeaf):
+            conditional_hier_loss(tree3, logits, np.array([0, 12]))
+        with pytest.raises(UnknownNode):
+            unconditional_loss(tree3, logits, ["ANAT-DP", "PNEUMONIA"])
+        logits[1, 3] = np.inf
+        with pytest.raises(NonFiniteLogit):
+            conditional_hier_loss(tree3, logits, [0, 1])

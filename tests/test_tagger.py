@@ -21,6 +21,8 @@ from hiergraph import (
 )
 from hiergraph.synth import make_separable_corpus
 
+from oracles import reference_train
+
 # Enough epochs for the linear model to separate the synthetic frames.
 FULL_FIT = dict(phase1_epochs=60, phase2_epochs=30, lr_phase1=0.3, lr_phase2=0.06)
 
@@ -113,6 +115,10 @@ class TestTraining:
         n_tokens = sum(len(r.tokens) for r in ds.reports)
         assert all(r["tokens"] == n_tokens for r in records)
         assert all(np.isfinite(r["loss"]) for r in records)
+        assert all(r["clamped"] == 0 for r in records)
+        for r in records:
+            assert r["per_depth"][0] == 0.0
+            assert sum(r["per_depth"].values()) == pytest.approx(r["loss"], rel=1e-12)
 
     def test_loss_decreases_on_separable(self, tree3):
         ds = make_separable_corpus(n_reports=32, seed=4)
@@ -128,6 +134,47 @@ class TestTraining:
         plain = train_two_phase(ds, tree3, TrainConfig(10, 5, seed=0))
         decayed = train_two_phase(ds, tree3, TrainConfig(10, 5, seed=0, l2=0.5))
         assert np.linalg.norm(decayed.weights) < np.linalg.norm(plain.weights)
+
+    def test_matches_per_token_reference(self, tree3):
+        # Mixed lengths, an empty report and batches of three: a window
+        # that crossed a report boundary, or a row sent to the wrong
+        # report's gradient, would move the parameters far past 1e-12.
+        def report(doc_id, text, *spans):
+            entities = {
+                str(i): {"tokens": "x", "label": label, "start_ix": a,
+                         "end_ix": b, "relations": []}
+                for i, (label, a, b) in enumerate(spans, start=1)
+            }
+            return parse_report(doc_id, {"text": text, "entities": entities})
+
+        mixed = [
+            report("one", "opacity", ("OBS-DP", 0, 0)),
+            report("empty", ""),
+            report("two", "improved today", ("CHAN-CON-IMP", 0, 0)),
+            report("long", "the right upper lobe has a new opacity that is unchanged",
+                   ("ANAT-DP", 1, 3), ("CHAN-CON-AP", 6, 6), ("OBS-DP", 7, 7),
+                   ("CHAN-NC", 10, 10)),
+            report("plain", "no acute process"),
+        ]
+        ds = Dataset(mixed + list(make_separable_corpus(n_reports=6, seed=8).reports))
+        for window in (0, 2):
+            cfg = TrainConfig(4, 3, 0.5, 0.1, seed=2, batch_size=3, window=window,
+                              embed_dim=5)
+            records = []
+            got = train_two_phase(ds, tree3, cfg, on_epoch=records.append)
+            want, want_records = reference_train(ds, tree3, cfg)
+            for name in ("weights", "bias", "embeddings"):
+                np.testing.assert_allclose(
+                    getattr(got, name), getattr(want, name), rtol=0, atol=1e-12
+                )
+            assert len(records) == len(want_records) == 7
+            for r, w in zip(records, want_records):
+                assert (r["phase"], r["epoch"], r["tokens"], r["clamped"]) == (
+                    w["phase"], w["epoch"], w["tokens"], w["clamped"])
+                assert r["loss"] == pytest.approx(w["loss"], rel=1e-12)
+                assert r["per_depth"].keys() == w["per_depth"].keys()
+                for d, v in w["per_depth"].items():
+                    assert r["per_depth"][d] == pytest.approx(v, rel=1e-12, abs=1e-15)
 
     def test_empty_dataset(self, tree3):
         with pytest.raises(EmptyDataset):

@@ -215,6 +215,7 @@ class TestQueries:
         ext = tree3.with_extra_leaf("NONE")
         assert ext.leaves == tree3.leaves + ("NONE",)
         assert ext.depth_of("NONE") == 1
+        assert tree3.with_extra_leaf("NONE") is ext
         with pytest.raises(DuplicateNode):
             ext.with_extra_leaf("NONE")
 
@@ -302,6 +303,26 @@ class TestProbabilities:
             for name, node in tree.nodes.items():
                 if node.children:
                     assert masses[name] == sum(masses[c] for c in node.children)
+
+    def test_mass_matrices_match_path_oracle(self, tree3, tree2, tree1):
+        rng = np.random.default_rng(6)
+        trees = [tree3, tree2, tree1] + [random_tree(rng) for _ in range(30)]
+        for tree in trees:
+            k = len(tree.leaves)
+            assert tree.mass_nodes[:k] == tree.leaves
+            assert sorted(tree.mass_nodes) == sorted(tree.nodes)
+            assert [tree.depth_of(n) for n in tree.mass_nodes] == tree.node_depths.tolist()
+            for i, leaf in enumerate(tree.leaves):
+                on_path = {tree.mass_nodes[c] for c in np.flatnonzero(tree.path_masks[i])}
+                assert on_path == set(tree.root_path(leaf)[1:])
+            logits = rng.normal(size=(5, k)) * 2
+            dists = leaf_distribution(tree, logits)
+            for row, dist in zip(dists @ tree.ancestors, dists):
+                expect = path_masses(tree, dist)
+                for name, mass in zip(tree.mass_nodes, row):
+                    assert mass == pytest.approx(expect[name], abs=1e-12)
+            for x, dist in zip(logits, dists):
+                assert np.array_equal(leaf_distribution(tree, x), dist)
 
     def test_propagate_rejects_non_distribution(self, tree3):
         bad = np.full(12, 1.0 / 12)
