@@ -55,6 +55,7 @@ from .evaluation import (
 from .losses import (
     LossReport,
     check_loss_gradients,
+    check_loss_invariants,
     conditional_hier_loss,
     gradient_check,
     unconditional_loss,

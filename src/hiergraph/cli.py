@@ -12,24 +12,20 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .corpus import (
     Dataset,
+    atomic_write,
     dataset_kappa,
     label_statistics,
     load_dataset,
+    read_json,
     save_dataset,
     tokenize,
 )
 from .errors import FileUnreadable, HierGraphError, MalformedRecord
 from .evaluation import EVAL_MODES, evaluate_intersection
-from .losses import (
-    check_loss_gradients,
-    conditional_hier_loss,
-    unconditional_loss,
-)
+from .losses import check_loss_gradients, check_loss_invariants
 from .model_io import load_model, save_model
 from .relations import predict_relations, train_relation_scorer
 from .schema import (
@@ -40,12 +36,7 @@ from .schema import (
     validate_graph,
 )
 from .tagger import TrainConfig, decode_entities, predict_tags, train_two_phase
-from .taxonomy import (
-    conditional_probability,
-    leaf_distribution,
-    load_taxonomy,
-    propagate,
-)
+from .taxonomy import load_taxonomy
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -74,7 +65,7 @@ def _meta(taxonomy_hash: str | None = None) -> dict:
 def _write_json(doc: dict, path: str | None) -> None:
     text = json.dumps(doc, indent=1)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -91,13 +82,7 @@ def _split_subset(ds: Dataset, splits: str | None) -> Dataset:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        with open(args.data, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise FileUnreadable(f"{args.data}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord("<root>", f"invalid JSON: {exc}") from exc
+    doc = read_json(args.data)
     if not isinstance(doc, dict):
         raise MalformedRecord("<root>", "annotation document is not an object")
 
@@ -163,7 +148,7 @@ def _cmd_train(args) -> int:
     )
 
     metrics_path = f"{args.output}.metrics.jsonl"
-    with open(metrics_path, "w", encoding="utf-8") as metrics:
+    with atomic_write(metrics_path) as metrics:
         metrics.write(json.dumps({"_meta": _meta(tree.config_hash)}) + "\n")
 
         def on_epoch(record):
@@ -184,25 +169,30 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _split_subset(load_dataset(args.data), args.splits)
-    predicted = []
+    entities = []
     for report in ds.reports:
         tokens = list(report.tokens)
         tags = predict_tags(model.tagger, model.tree, tokens)
-        entities = decode_entities(tags, tokens, single_token=args.single_token)
-        relations = (
-            predict_relations(model.relations, entities) if model.relations else []
+        entities.append(decode_entities(tags, tokens, single_token=args.single_token))
+    relations = (
+        predict_relations(model.relations, entities)
+        if model.relations
+        else [[] for _ in entities]
+    )
+    predicted = [
+        ReportGraph(
+            doc_id=report.doc_id,
+            text=report.text,
+            tokens=report.tokens,
+            split=report.split,
+            source=report.source,
+            entities={e.id: e for e in report_entities},
+            relations=tuple(report_relations),
         )
-        predicted.append(
-            ReportGraph(
-                doc_id=report.doc_id,
-                text=report.text,
-                tokens=report.tokens,
-                split=report.split,
-                source=report.source,
-                entities={e.id: e for e in entities},
-                relations=tuple(relations),
-            )
+        for report, report_entities, report_relations in zip(
+            ds.reports, entities, relations
         )
+    ]
     save_dataset(
         Dataset(predicted), args.output, meta=_meta(model.tree.config_hash)
     )
@@ -252,7 +242,7 @@ def _cmd_export_dot(args) -> int:
         return EXIT_INVALID
     dot = to_dot(by_id[args.doc])
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with atomic_write(args.output) as fh:
             fh.write(dot)
         print(f"dot graph written to {args.output}")
     else:
@@ -260,49 +250,12 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def _invariant_suite(tree, trials: int, seed: int) -> list[str]:
-    """Probability and loss invariants on random logits; returns failures."""
-    rng = np.random.default_rng(seed)
-    failures = []
-    for _ in range(trials):
-        logits = rng.normal(0.0, 3.0, size=len(tree.leaves))
-        dist = leaf_distribution(tree, logits)
-        masses = propagate(tree, dist)
-        if abs(masses["ROOT"] - 1.0) > 1e-9:
-            failures.append("root mass != 1")
-        for name, node in tree.nodes.items():
-            if node.children:
-                if masses[name] != sum(masses[c] for c in node.children):
-                    failures.append(f"mass of {name} != sum of children")
-                for c in node.children:
-                    if masses[c] > masses[name] + 1e-15:
-                        failures.append(f"child {c} above parent {name}")
-        for i, leaf in enumerate(tree.leaves):
-            chained = 1.0
-            for name in tree.root_path(leaf)[1:]:
-                chained *= conditional_probability(tree, masses, name)
-            if abs(chained - dist[i]) > 1e-9:
-                failures.append(f"chain rule off at {leaf}")
-        gold = tree.leaves[int(rng.integers(len(tree.leaves)))]
-        cond = conditional_hier_loss(tree, logits, gold)
-        flat = unconditional_loss(tree, logits, gold)
-        if cond.loss < flat.loss - 1e-9:
-            failures.append("conditional loss below flat loss")
-        if abs(sum(cond.per_depth.values()) - cond.loss) > 1e-9:
-            failures.append("per-depth components do not sum to the loss")
-        if cond.clamped or flat.clamped:
-            failures.append("unexpected loss clamp")
-        if failures:
-            break
-    return failures
-
-
 def _cmd_loss_check(args) -> int:
     tree = load_taxonomy(args.taxonomy)
     errors = check_loss_gradients(tree, trials=args.trials, seed=args.seed)
     print(f"max gradient rel error (conditional): {errors['conditional']:.3e}")
     print(f"max gradient rel error (unconditional): {errors['unconditional']:.3e}")
-    failures = _invariant_suite(tree, args.trials, args.seed)
+    failures = check_loss_invariants(tree, trials=args.trials, seed=args.seed)
     if max(errors.values()) >= 1e-4:
         failures.append("gradient error above 1e-4")
     if failures:

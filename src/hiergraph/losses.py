@@ -1,6 +1,6 @@
 """Training losses over a taxonomy: the per-depth conditional loss, the
-flat cross-entropy used for fine-tuning, and a finite-difference
-gradient checker.
+flat cross-entropy used for fine-tuning, a finite-difference gradient
+checker, and a self-test of the probability and loss invariants.
 
 Both losses consume leaf logits, one row or a batch of rows, and return
 the analytic gradient with respect to them, so callers never need
@@ -15,7 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LengthMismatch, NonFiniteLogit, NotALeaf
-from .taxonomy import TaxonomyTree, leaf_distribution
+from .taxonomy import (
+    TaxonomyTree,
+    conditional_probability,
+    leaf_distribution,
+    propagate,
+)
 
 # Floor applied to any node mass before taking its log.
 TINY = 1e-300
@@ -198,3 +203,50 @@ def check_loss_gradients(
             )
             worst[key] = max(worst[key], err)
     return worst
+
+
+def check_loss_invariants(
+    tree: TaxonomyTree, trials: int = 100, seed: int = 0
+) -> list[str]:
+    """Probability and loss invariants on random logits; returns failures.
+
+    Each trial checks the leaf distribution's node masses (root mass 1,
+    children summing exactly to their parent, no child above its
+    parent), the chain rule along every root path, and, for a random
+    gold leaf, that the conditional loss is at least the flat loss,
+    splits into its per-depth terms and is not clamped.  Stops at the
+    first failing trial.
+    """
+    rng = np.random.default_rng(seed)
+    failures = []
+    for _ in range(trials):
+        logits = rng.normal(0.0, 3.0, size=len(tree.leaves))
+        dist = leaf_distribution(tree, logits)
+        masses = propagate(tree, dist)
+        if abs(masses["ROOT"] - 1.0) > 1e-9:
+            failures.append("root mass != 1")
+        for name, node in tree.nodes.items():
+            if node.children:
+                if masses[name] != sum(masses[c] for c in node.children):
+                    failures.append(f"mass of {name} != sum of children")
+                for c in node.children:
+                    if masses[c] > masses[name] + 1e-15:
+                        failures.append(f"child {c} above parent {name}")
+        for i, leaf in enumerate(tree.leaves):
+            chained = 1.0
+            for name in tree.root_path(leaf)[1:]:
+                chained *= conditional_probability(tree, masses, name)
+            if abs(chained - dist[i]) > 1e-9:
+                failures.append(f"chain rule off at {leaf}")
+        gold = tree.leaves[int(rng.integers(len(tree.leaves)))]
+        cond = conditional_hier_loss(tree, logits, gold)
+        flat = unconditional_loss(tree, logits, gold)
+        if cond.loss < flat.loss - 1e-9:
+            failures.append("conditional loss below flat loss")
+        if abs(sum(cond.per_depth.values()) - cond.loss) > 1e-9:
+            failures.append("per-depth components do not sum to the loss")
+        if cond.clamped or flat.clamped:
+            failures.append("unexpected loss clamp")
+        if failures:
+            break
+    return failures

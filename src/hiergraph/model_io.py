@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .corpus import atomic_write
 from .errors import (
     FileUnreadable,
     LengthMismatch,
@@ -72,9 +73,8 @@ def save_model(
         },
         "train_config": None if train_config is None else asdict(train_config),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _is_int(obj) -> bool:

@@ -1,10 +1,18 @@
 """Linear pairwise relation scorer.
 
 Candidate pairs are ordered entity pairs whose start positions lie
-within a token-distance cap.  Each pair is featurized from the two
-entity labels plus their signed token offset and scored into the three
-relation kinds or "none".  Decoding keeps non-none argmax picks that
-pass the schema signature filter.
+within a token-distance cap.  Every pair feature is one-hot: the source
+label, the target label, the bucket of the signed token offset, the
+direction of that offset, and a constant.  The direction follows from
+the bucket, so a pair's scores over the three relation kinds and "none"
+depend only on (source label, target label, bucket).  Decoding looks
+each pair up in a table over those triples that holds the kept kind:
+the non-none argmax, if it passes the schema signature filter.
+
+``candidate_pairs`` and ``predict_relations`` take one report's
+entities or a sequence of reports.  Pairs are enumerated with array
+operations over the sorted start positions, a block of reports at a
+time.
 """
 
 from __future__ import annotations
@@ -47,8 +55,22 @@ DISTANCE_BUCKETS = (
 # src one-hot + dst one-hot + distance buckets + direction + constant.
 FEATURE_DIM = 2 * len(ENTITY_LABELS) + len(DISTANCE_BUCKETS) + 2
 
+# Pairs are enumerated for consecutive reports holding about this many
+# entities at a time, which bounds the pair arrays of one pass.
+_BLOCK_ENTITIES = 1000
+
 _LABEL_POS = {label: i for i, label in enumerate(ENTITY_LABELS)}
 _KIND_POS = {kind: i for i, kind in enumerate(OUTPUT_KINDS)}
+
+# Lower edges of every bucket but the first: an offset's bucket is the
+# number of edges at or below it.
+_BUCKET_EDGES = np.array([lo for lo, _ in DISTANCE_BUCKETS[1:]])
+# The direction bit (offset > 0) of each bucket.
+_FORWARD = np.array([lo is not None and lo > 0 for lo, _ in DISTANCE_BUCKETS])
+assert all(
+    forward or (hi is not None and hi <= 0)
+    for forward, (_, hi) in zip(_FORWARD, DISTANCE_BUCKETS)
+), "a distance bucket straddles offset 0"
 
 
 @dataclass
@@ -67,23 +89,22 @@ class RelationScorerParams:
             )
 
 
-def _bucket_index(offset: int) -> int:
-    for i, (lo, hi) in enumerate(DISTANCE_BUCKETS):
-        if (lo is None or offset >= lo) and (hi is None or offset <= hi):
-            return i
-    raise AssertionError("bucket ranges cover every integer")
+def _bucket(offsets) -> np.ndarray:
+    """Distance bucket index of each signed offset."""
+    return np.searchsorted(_BUCKET_EDGES, offsets, side="right")
 
 
-def pair_features(src: Entity, dst: Entity) -> np.ndarray:
-    phi = np.zeros(FEATURE_DIM)
-    phi[_LABEL_POS[src.label]] = 1.0
-    phi[len(ENTITY_LABELS) + _LABEL_POS[dst.label]] = 1.0
-    offset = dst.start_ix - src.start_ix
-    base = 2 * len(ENTITY_LABELS)
-    phi[base + _bucket_index(offset)] = 1.0
-    if offset > 0:
-        phi[base + len(DISTANCE_BUCKETS)] = 1.0
-    phi[-1] = 1.0
+def _one_hot(src_label, dst_label, bucket) -> np.ndarray:
+    """Dense (pairs x FEATURE_DIM) features of pairs given by their label
+    and bucket indices."""
+    n_labels = len(ENTITY_LABELS)
+    phi = np.zeros((len(bucket), FEATURE_DIM))
+    rows = np.arange(len(bucket))
+    phi[rows, src_label] = 1.0
+    phi[rows, n_labels + dst_label] = 1.0
+    phi[rows, 2 * n_labels + bucket] = 1.0
+    phi[:, -2] = _FORWARD[bucket]
+    phi[:, -1] = 1.0
     return phi
 
 
@@ -92,32 +113,94 @@ def _ordered(entities) -> list[Entity]:
     return sorted(items, key=lambda e: (e.start_ix, e.end_ix, e.id))
 
 
+def _reports(entities) -> tuple[list[list[Entity]], bool]:
+    """Each report's entities in ``_ordered`` order, and whether
+    ``entities`` was one report rather than a sequence of reports."""
+    if not isinstance(entities, dict):
+        entities = list(entities)
+        if entities and not isinstance(entities[0], Entity):
+            return [_ordered(report) for report in entities], False
+    return [_ordered(entities)], True
+
+
+def _pair_blocks(reports: list[list[Entity]], cap: int):
+    """Candidate pairs of ``reports``, a block of consecutive reports
+    with about ``_BLOCK_ENTITIES`` entities at a time.
+
+    Yields ``(entities, src, dst, bucket, ends)``: the block's entities
+    concatenated, each pair's source and target as indices into them,
+    its distance bucket, and where each report's pairs end.  Pairs come
+    in report, then source, then target order; entities sharing an id
+    never pair.
+    """
+    first = 0
+    while first < len(reports):
+        last, size = first, 0
+        while last < len(reports) and size < _BLOCK_ENTITIES:
+            size += len(reports[last])
+            last += 1
+        block, first = reports[first:last], last
+        entities = [e for report in block for e in report]
+        report = np.repeat(np.arange(len(block)), [len(r) for r in block])
+        starts = np.array([e.start_ix for e in entities], dtype=np.int64)
+        span = int(starts.max() - starts.min()) if entities else 0
+        # Caps beyond the widest spread of starts pair the same entities.
+        block_cap = min(cap, span)
+        # Reports lie more than the cap apart on this axis, so no window
+        # of candidate targets crosses from one report into the next.
+        keys = starts + report * (span + max(block_cap, 0) + 1)
+        lo = np.searchsorted(keys, keys - block_cap, side="left")
+        hi = np.searchsorted(keys, keys + block_cap, side="right")
+        counts = np.maximum(hi - lo, 0)
+        src = np.repeat(np.arange(len(entities)), counts)
+        dst = np.arange(len(src)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        codes: dict[str, int] = {}
+        code = np.array([codes.setdefault(e.id, len(codes)) for e in entities], dtype=np.intp)
+        distinct = code[src] != code[dst]
+        src, dst = src[distinct], dst[distinct]
+        ends = np.cumsum(np.bincount(report[src], minlength=len(block)))
+        yield entities, src, dst, _bucket(starts[dst] - starts[src]), ends
+
+
+def _split(items: list, ends) -> list[list]:
+    """Cut ``items`` at the report ends."""
+    starts = [0, *ends[:-1]]
+    return [items[a:b] for a, b in zip(starts, ends)]
+
+
 def candidate_pairs(entities, cap: int = DEFAULT_DISTANCE_CAP):
-    """Ordered pairs with |dst.start - src.start| <= cap, both directions."""
-    ordered = _ordered(entities)
-    pairs = []
-    for src in ordered:
-        for dst in ordered:
-            if src.id == dst.id:
-                continue
-            if abs(dst.start_ix - src.start_ix) <= cap:
-                pairs.append((src, dst))
-    return pairs
+    """Ordered pairs with |dst.start - src.start| <= cap, both directions.
+
+    ``entities`` is one report's entities (a dict by id or an iterable),
+    giving a list of (src, dst) pairs, or a sequence of such collections,
+    giving one list per report.
+    """
+    reports, single = _reports(entities)
+    result = []
+    for flat, src, dst, _, ends in _pair_blocks(reports, cap):
+        take = flat.__getitem__
+        pairs = list(zip(map(take, src.tolist()), map(take, dst.tolist())))
+        result += _split(pairs, ends.tolist())
+    return result[0] if single else result
 
 
 def _training_pairs(ds: Dataset, cap: int):
-    features = []
+    """Dense features and gold output kind of every candidate pair."""
+    pairs = []
     gold = []
-    for report in ds.reports:
+    per_report = candidate_pairs([r.entities for r in ds.reports], cap)
+    for report, report_pairs in zip(ds.reports, per_report):
         kind_of = {}
         for rel in report.relations:
             kind_of.setdefault((rel.source_id, rel.target_id), rel.kind)
-        for src, dst in candidate_pairs(report.entities, cap):
-            features.append(pair_features(src, dst))
-            gold.append(_KIND_POS[kind_of.get((src.id, dst.id), NONE_KIND)])
-    if not features:
+        gold += [_KIND_POS[kind_of.get((s.id, d.id), NONE_KIND)] for s, d in report_pairs]
+        pairs += report_pairs
+    if not pairs:
         raise EmptyDataset("no candidate entity pairs to train on")
-    return np.array(features), np.array(gold, dtype=int)
+    src = np.array([_LABEL_POS[s.label] for s, _ in pairs])
+    dst = np.array([_LABEL_POS[d.label] for _, d in pairs])
+    offsets = np.array([d.start_ix - s.start_ix for s, d in pairs])
+    return _one_hot(src, dst, _bucket(offsets)), np.array(gold, dtype=int)
 
 
 def train_relation_scorer(
@@ -134,7 +217,7 @@ def train_relation_scorer(
     cfg = cfg or TrainConfig()
     cfg.validate()
     phi, gold = _training_pairs(ds, cap)
-    n, _ = phi.shape
+    n = len(gold)
     weights = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
     rng = np.random.default_rng(cfg.seed)
     epochs = cfg.phase1_epochs + cfg.phase2_epochs
@@ -143,29 +226,52 @@ def train_relation_scorer(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            scores = phi[batch] @ weights
+            x = phi[batch]
+            scores = x @ weights
             scores -= scores.max(axis=1, keepdims=True)
             probs = np.exp(scores)
             probs /= probs.sum(axis=1, keepdims=True)
             probs[np.arange(len(batch)), gold[batch]] -= 1.0
-            grad = phi[batch].T @ probs / len(batch)
+            grad = x.T @ probs / len(batch)
             weights -= lr * (grad + cfg.l2 * weights)
     return RelationScorerParams(weights=weights, distance_cap=cap)
 
 
-def predict_relations(params: RelationScorerParams, entities) -> list[Relation]:
-    """Schema-constrained decoding over all candidate pairs."""
-    pairs = candidate_pairs(entities, params.distance_cap)
-    if not pairs:
-        return []
-    phi = np.array([pair_features(src, dst) for src, dst in pairs])
-    picks = np.argmax(phi @ params.weights, axis=1)
-    relations = []
-    for (src, dst), pick in zip(pairs, picks):
-        kind = params.kinds[int(pick)]
-        if kind == NONE_KIND:
-            continue
-        if not relation_signature_allowed(kind, src.label, dst.label):
-            continue
-        relations.append(Relation(source_id=src.id, target_id=dst.id, kind=kind))
-    return relations
+def _decode_table(params: RelationScorerParams) -> np.ndarray:
+    """Kept kind index per (source label, target label, bucket); -1 where
+    the argmax is "none" or fails the schema signature."""
+    shape = (len(ENTITY_LABELS), len(ENTITY_LABELS), len(DISTANCE_BUCKETS))
+    src, dst, bucket = (axis.ravel() for axis in np.indices(shape))
+    picks = np.argmax(_one_hot(src, dst, bucket) @ params.weights, axis=1)
+    allowed = np.array(
+        [
+            [
+                [kind != NONE_KIND and relation_signature_allowed(kind, s, d) for d in ENTITY_LABELS]
+                for s in ENTITY_LABELS
+            ]
+            for kind in params.kinds
+        ]
+    )
+    return np.where(allowed[picks, src, dst], picks, -1).reshape(shape)
+
+
+def predict_relations(params: RelationScorerParams, entities):
+    """Schema-constrained decoding over all candidate pairs.
+
+    ``entities`` is one report's entities, giving its list of relations,
+    or a sequence of reports, giving one list per report, as for
+    ``candidate_pairs``.  Relations come in candidate-pair order.
+    """
+    reports, single = _reports(entities)
+    table = _decode_table(params)
+    result = []
+    for flat, src, dst, bucket, ends in _pair_blocks(reports, params.distance_cap):
+        labels = np.array([_LABEL_POS[e.label] for e in flat], dtype=np.intp)
+        kind = table[labels[src], labels[dst], bucket]
+        kept = np.flatnonzero(kind >= 0)
+        relations = [
+            Relation(source_id=flat[i].id, target_id=flat[j].id, kind=params.kinds[k])
+            for i, j, k in zip(src[kept].tolist(), dst[kept].tolist(), kind[kept].tolist())
+        ]
+        result += _split(relations, np.searchsorted(kept, ends).tolist())
+    return result[0] if single else result

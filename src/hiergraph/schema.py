@@ -226,7 +226,8 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
             raise MalformedRecord(doc_id, f"entity {eid!r} missing {exc}") from None
         if not isinstance(tokens, str) or not isinstance(label, str):
             raise MalformedRecord(doc_id, f"entity {eid!r} has non-string fields")
-        if not isinstance(start_ix, int) or not isinstance(end_ix, int):
+        # JSON true/false load as bool, which is an int subclass.
+        if type(start_ix) is not int or type(end_ix) is not int:
             raise MalformedRecord(doc_id, f"entity {eid!r} has non-integer span")
         entities[str(eid)] = Entity(
             id=str(eid),

@@ -306,23 +306,29 @@ def build_tree(config_text: str) -> TaxonomyTree:
     return TaxonomyTree.from_config_text(config_text)
 
 
+def _load_config_file(path: str) -> TaxonomyTree:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise FileUnreadable(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise TaxonomyConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    return build_tree(text)
+
+
 def load_taxonomy(name_or_path: str) -> TaxonomyTree:
     """Load a taxonomy config by path, by name in $HIERGRAPH_TAXONOMY_DIR,
     or by shipped config name (radgraph2_depth3, radgraph2_depth2,
     radgraph1_depth2)."""
     if os.path.exists(name_or_path):
-        try:
-            with open(name_or_path, encoding="utf-8") as fh:
-                return build_tree(fh.read())
-        except OSError as exc:
-            raise FileUnreadable(str(exc)) from exc
+        return _load_config_file(name_or_path)
 
     env_dir = os.environ.get(TAXONOMY_DIR_ENV)
     if env_dir:
         candidate = os.path.join(env_dir, name_or_path + ".txt")
         if os.path.exists(candidate):
-            with open(candidate, encoding="utf-8") as fh:
-                return build_tree(fh.read())
+            return _load_config_file(candidate)
 
     if name_or_path in SHIPPED_CONFIGS:
         text = (

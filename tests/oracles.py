@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: extended-precision arithmetic,
 path walks instead of recursion, exhaustive assignment search instead
-of counting tricks, and a per-token training loop instead of batched
-array maths.  Slow is fine; agreeing with these is the point.
+of counting tricks, a per-token training loop instead of batched array
+maths, and a per-pair relation scorer with dense feature vectors
+instead of index lookups.  Slow is fine; agreeing with these is the point.
 """
 
 from __future__ import annotations
@@ -12,13 +13,24 @@ import mpmath as mp
 import numpy as np
 
 from hiergraph import (
+    Relation,
+    RelationScorerParams,
     TaggerParams,
     build_vocab,
     conditional_hier_loss,
     tag_tree_for,
     to_token_labeling,
+    relation_signature_allowed,
     unconditional_loss,
 )
+from hiergraph.errors import EmptyDataset
+from hiergraph.relations import (
+    DISTANCE_BUCKETS,
+    FEATURE_DIM,
+    NONE_KIND,
+    OUTPUT_KINDS,
+)
+from hiergraph.schema import ENTITY_LABELS
 
 mp.mp.dps = 50
 
@@ -212,3 +224,88 @@ def reference_train(ds, tree, cfg):
                 "clamped": clamped,
             })
     return params, records
+
+
+# --- relation scorer, one pair at a time --------------------------------------
+
+
+def bucket_index(offset):
+    """Distance bucket of one offset, by scanning the bucket ranges."""
+    for i, (lo, hi) in enumerate(DISTANCE_BUCKETS):
+        if (lo is None or offset >= lo) and (hi is None or offset <= hi):
+            return i
+    raise AssertionError("bucket ranges cover every integer")
+
+
+def pair_features(src, dst):
+    """Dense one-hot feature vector of one pair."""
+    phi = np.zeros(FEATURE_DIM)
+    phi[ENTITY_LABELS.index(src.label)] = 1.0
+    phi[len(ENTITY_LABELS) + ENTITY_LABELS.index(dst.label)] = 1.0
+    offset = dst.start_ix - src.start_ix
+    base = 2 * len(ENTITY_LABELS)
+    phi[base + bucket_index(offset)] = 1.0
+    if offset > 0:
+        phi[base + len(DISTANCE_BUCKETS)] = 1.0
+    phi[-1] = 1.0
+    return phi
+
+
+def reference_pairs(entities, cap):
+    """Candidate pairs of one report by a double loop over all entities."""
+    items = entities.values() if isinstance(entities, dict) else list(entities)
+    ordered = sorted(items, key=lambda e: (e.start_ix, e.end_ix, e.id))
+    return [
+        (src, dst)
+        for src in ordered
+        for dst in ordered
+        if src.id != dst.id and abs(dst.start_ix - src.start_ix) <= cap
+    ]
+
+
+def reference_relations(params, entities):
+    """Decode one report by scoring every pair's dense features."""
+    pairs = reference_pairs(entities, params.distance_cap)
+    if not pairs:
+        return []
+    phi = np.array([pair_features(src, dst) for src, dst in pairs])
+    picks = np.argmax(phi @ params.weights, axis=1)
+    relations = []
+    for (src, dst), pick in zip(pairs, picks):
+        kind = params.kinds[int(pick)]
+        if kind == NONE_KIND:
+            continue
+        if not relation_signature_allowed(kind, src.label, dst.label):
+            continue
+        relations.append(Relation(source_id=src.id, target_id=dst.id, kind=kind))
+    return relations
+
+
+def reference_train_relations(ds, cfg, cap):
+    """``train_relation_scorer`` on dense per-pair feature vectors."""
+    features = []
+    gold = []
+    for report in ds.reports:
+        kind_of = {}
+        for rel in report.relations:
+            kind_of.setdefault((rel.source_id, rel.target_id), rel.kind)
+        for src, dst in reference_pairs(report.entities, cap):
+            features.append(pair_features(src, dst))
+            gold.append(OUTPUT_KINDS.index(kind_of.get((src.id, dst.id), NONE_KIND)))
+    if not features:
+        raise EmptyDataset("no candidate entity pairs to train on")
+    phi, gold = np.array(features), np.array(gold, dtype=int)
+    weights = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.phase1_epochs + cfg.phase2_epochs):
+        order = rng.permutation(len(gold))
+        for start in range(0, len(gold), cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            scores = phi[batch] @ weights
+            scores -= scores.max(axis=1, keepdims=True)
+            probs = np.exp(scores)
+            probs /= probs.sum(axis=1, keepdims=True)
+            probs[np.arange(len(batch)), gold[batch]] -= 1.0
+            grad = phi[batch].T @ probs / len(batch)
+            weights -= cfg.lr_phase1 * (grad + cfg.l2 * weights)
+    return RelationScorerParams(weights=weights, distance_cap=cap)

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows and exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -323,6 +324,60 @@ class TestMalformedModel:
         def edit(d):
             d["taxonomy_edges"][0].append("EXTRA")
         assert "taxonomy_edges" in self._predict(work, tmp_path, capsys, edit)
+
+
+class TestNotUtf8:
+    """Input files that are not UTF-8 exit 2 with a one-line error."""
+
+    @staticmethod
+    def _binary(tmp_path):
+        bad = tmp_path / "bin.json"
+        bad.write_bytes(b"\xff\xfe{\x00}")
+        return str(bad)
+
+    @staticmethod
+    def _invalid(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "not UTF-8" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "stats"])
+    def test_dataset_commands(self, command, tmp_path, capsys):
+        assert main([command, self._binary(tmp_path)]) == 2
+        self._invalid(capsys)
+
+    def test_train_dataset(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["train", self._binary(tmp_path), "-o", str(out)]) == 2
+        self._invalid(capsys)
+
+    def test_train_taxonomy(self, work, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        argv = ["train", str(work["data"]), "--taxonomy", self._binary(tmp_path), "-o", str(out)]
+        assert main(argv) == 2
+        self._invalid(capsys)
+        assert not out.exists()
+
+    def test_taxonomy_dir(self, work, tmp_path, monkeypatch, capsys):
+        (tmp_path / "mine.txt").write_bytes(b"\xff\xfeROOT")
+        monkeypatch.setenv("HIERGRAPH_TAXONOMY_DIR", str(tmp_path))
+        argv = ["train", str(work["data"]), "--taxonomy", "mine", "-o", str(tmp_path / "m.json")]
+        assert main(argv) == 2
+        self._invalid(capsys)
+
+    def test_eval(self, work, tmp_path, capsys):
+        assert main(["eval", str(work["data"]), self._binary(tmp_path)]) == 2
+        self._invalid(capsys)
+
+
+def test_taxonomy_dir_unreadable(work, tmp_path, monkeypatch, capsys):
+    # A directory where the config file should be: open() fails.
+    os.mkdir(tmp_path / "mine.txt")
+    monkeypatch.setenv("HIERGRAPH_TAXONOMY_DIR", str(tmp_path))
+    argv = ["train", str(work["data"]), "--taxonomy", "mine", "-o", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestKappaPruneDot:

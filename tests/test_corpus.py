@@ -1,6 +1,7 @@
 """Tokenizer, dataset IO, label statistics, and agreement."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hiergraph import (
     tokenize,
     validate_graph,
 )
-from hiergraph.corpus import ENTITY_ROWS, parse_dataset
+from hiergraph.corpus import ENTITY_ROWS, atomic_write, parse_dataset
 
 
 class TestTokenize:
@@ -108,6 +109,51 @@ class TestDataset:
         again = load_dataset(str(out))
         assert again.by_id() == small_ds.by_id()
         assert json.load(open(out))["_meta"] == {"version": "0"}
+
+    def test_save_text_is_indented_json(self, small_ds, tmp_path):
+        out = tmp_path / "copy.json"
+        save_dataset(small_ds, str(out))
+        doc = json.loads(out.read_text())
+        assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+
+    def test_non_utf8_file(self, tmp_path):
+        p = tmp_path / "bin.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(MalformedRecord, match="not UTF-8"):
+            load_dataset(str(p))
+
+
+class TestAtomicWrite:
+    def test_replaces_content(self, tmp_path):
+        p = tmp_path / "out.json"
+        p.write_text("old\n")
+        with atomic_write(str(p)) as fh:
+            fh.write("new\n")
+        assert p.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        p = tmp_path / "out.json"
+        p.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            with atomic_write(str(p)) as fh:
+                fh.write("half ")
+                fh.write("\ud800 written")
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failed_replace_keeps_old_file(self, small_ds, tmp_path, monkeypatch):
+        p = tmp_path / "out.json"
+        p.write_text("old\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_dataset(small_ds, str(p))
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
 
 
 class TestStatistics:

@@ -1,7 +1,11 @@
 """Pairwise relation scorer: features, candidates, training, decoding."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergraph import (
     Dataset,
@@ -13,17 +17,24 @@ from hiergraph import (
     predict_relations,
     train_relation_scorer,
 )
+from hiergraph import relations
 from hiergraph.relations import (
     DISTANCE_BUCKETS,
     FEATURE_DIM,
     NONE_KIND,
     OUTPUT_KINDS,
-    _bucket_index,
-    pair_features,
+    _bucket,
+    _one_hot,
 )
 from hiergraph.schema import ENTITY_LABELS, Entity
-from hiergraph.synth import make_separable_corpus
+from hiergraph.synth import make_random_corpus, make_separable_corpus
 from hiergraph.tagger import TrainConfig
+from oracles import (
+    pair_features,
+    reference_pairs,
+    reference_relations,
+    reference_train_relations,
+)
 
 
 def ent(eid, label, start, end=None):
@@ -31,14 +42,23 @@ def ent(eid, label, start, end=None):
     return Entity(id=eid, tokens="x", start_ix=start, end_ix=end, label=label)
 
 
+def features(src, dst):
+    """The one-hot feature row of one pair, built from its indices."""
+    return _one_hot(
+        np.array([ENTITY_LABELS.index(src.label)]),
+        np.array([ENTITY_LABELS.index(dst.label)]),
+        _bucket([dst.start_ix - src.start_ix]),
+    )[0]
+
+
 class TestFeatures:
     def test_dimension(self):
         assert FEATURE_DIM == 2 * 12 + 11 + 2 == 37
-        phi = pair_features(ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 3))
+        phi = features(ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 3))
         assert phi.shape == (FEATURE_DIM,)
 
     def test_one_hots(self):
-        phi = pair_features(ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 3))
+        phi = features(ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 3))
         assert phi[ENTITY_LABELS.index("OBS-DP")] == 1.0
         assert phi[12 + ENTITY_LABELS.index("ANAT-DP")] == 1.0
         assert phi[:12].sum() == 1.0
@@ -46,9 +66,9 @@ class TestFeatures:
         assert phi[-1] == 1.0
 
     def test_direction_bit(self):
-        fwd = pair_features(ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 3))
-        bwd = pair_features(ent("1", "OBS-DP", 3), ent("2", "ANAT-DP", 0))
-        same = pair_features(ent("1", "OBS-DP", 2), ent("2", "ANAT-DP", 2))
+        fwd = features(ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 3))
+        bwd = features(ent("1", "OBS-DP", 3), ent("2", "ANAT-DP", 0))
+        same = features(ent("1", "OBS-DP", 2), ent("2", "ANAT-DP", 2))
         direction = 24 + len(DISTANCE_BUCKETS)
         assert fwd[direction] == 1.0
         assert bwd[direction] == 0.0
@@ -61,7 +81,8 @@ class TestFeatures:
             0: 5, 1: 6, 2: 7, 3: 8, 5: 8, 6: 9, 10: 9, 11: 10, 900: 10,
         }
         for offset, want in cases.items():
-            assert _bucket_index(offset) == want, offset
+            assert _bucket(offset) == want, offset
+        assert _bucket(list(cases)).tolist() == list(cases.values())
 
     def test_every_offset_in_exactly_one_bucket(self):
         for offset in range(-40, 41):
@@ -70,12 +91,19 @@ class TestFeatures:
                 for i, (lo, hi) in enumerate(DISTANCE_BUCKETS)
                 if (lo is None or offset >= lo) and (hi is None or offset <= hi)
             ]
-            assert len(hits) == 1
+            assert hits == [_bucket(offset)]
 
     def test_exactly_one_bucket_bit_set(self):
         for offset in (-15, -4, 0, 4, 15):
-            phi = pair_features(ent("1", "OBS-DP", 10), ent("2", "ANAT-DP", 10 + offset))
+            phi = features(ent("1", "OBS-DP", 10), ent("2", "ANAT-DP", 10 + offset))
             assert phi[24 : 24 + len(DISTANCE_BUCKETS)].sum() == 1.0
+
+    def test_matches_dense_reference(self):
+        for src_label in ENTITY_LABELS:
+            for dst_label in ENTITY_LABELS:
+                for offset in range(-14, 15):
+                    src, dst = ent("1", src_label, 20), ent("2", dst_label, 20 + offset)
+                    assert np.array_equal(features(src, dst), pair_features(src, dst))
 
 
 class TestCandidates:
@@ -108,6 +136,35 @@ class TestCandidates:
         entities = [ent("2", "OBS-DP", 0), ent("1", "ANAT-DP", 0)]
         pairs = candidate_pairs(entities)
         assert [(s.id, d.id) for s, d in pairs] == [("1", "2"), ("2", "1")]
+
+    def test_same_id_never_pairs(self):
+        entities = [ent("1", "OBS-DP", 0), ent("1", "ANAT-DP", 1), ent("2", "OBS-U", 2)]
+        pairs = candidate_pairs(entities)
+        assert [(s.start_ix, d.start_ix) for s, d in pairs] == [
+            (0, 2), (1, 2), (2, 0), (2, 1),
+        ]
+
+    def test_caps_beyond_any_offset_and_below_zero(self):
+        entities = [ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 7)]
+        assert len(candidate_pairs(entities, cap=10**18)) == 2
+        assert candidate_pairs(entities, cap=-1) == []
+
+    def test_batch_gives_one_list_per_report(self):
+        a = [ent("1", "OBS-DP", 0), ent("2", "ANAT-DP", 2)]
+        b = {"7": ent("7", "OBS-U", 5)}
+        c = [ent("1", "OBS-DP", 3), ent("2", "ANAT-DP", 3)]
+        got = candidate_pairs([a, b, [], c])
+        assert got == [candidate_pairs(a), [], [], candidate_pairs(c)]
+        assert len(got[0]) == len(got[3]) == 2
+
+    def test_reports_never_pair_across(self):
+        # Equal starts in consecutive reports would pair if windows crossed.
+        reports = [[ent("1", "OBS-DP", 5)], [ent("2", "ANAT-DP", 5)]]
+        assert candidate_pairs(reports) == [[], []]
+
+    def test_empty_batch(self):
+        assert candidate_pairs([]) == []
+        assert candidate_pairs([[]]) == [[]]
 
 
 class TestTraining:
@@ -157,6 +214,20 @@ class TestTraining:
         params = train_relation_scorer(ds, TrainConfig(1, 1), cap=7)
         assert params.distance_cap == 7
 
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            make_separable_corpus(n_reports=12, seed=3),
+            make_random_corpus(n_reports=40, seed=5, max_entities=6),
+        ],
+        ids=["separable", "random"],
+    )
+    def test_matches_dense_reference(self, ds):
+        cfg = TrainConfig(2, 1, seed=5, batch_size=3, l2=0.01)
+        got = train_relation_scorer(ds, cfg, cap=7)
+        want = reference_train_relations(ds, cfg, 7)
+        assert np.array_equal(got.weights, want.weights)
+
     def test_weight_shape_validated(self):
         with pytest.raises(LengthMismatch):
             RelationScorerParams(weights=np.zeros((5, 4)))
@@ -200,3 +271,48 @@ class TestDecoding:
         }
         got = predict_relations(params, entities)
         assert len(got) == 2
+
+    def test_batch_gives_one_list_per_report(self):
+        weights = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
+        weights[-1, OUTPUT_KINDS.index("modify")] = 5.0
+        params = RelationScorerParams(weights=weights)
+        a = [ent("1", "OBS-DP", 0), ent("2", "OBS-U", 1)]
+        b = {"1": ent("1", "ANAT-DP", 0)}
+        got = predict_relations(params, [a, b, a])
+        assert got == [predict_relations(params, a), [], predict_relations(params, a)]
+        assert len(got[0]) == 2
+        assert predict_relations(params, []) == []
+
+
+entity = st.builds(
+    lambda eid, label, start, width: ent(eid, label, start, start + width),
+    st.sampled_from("abcd"),
+    st.sampled_from(ENTITY_LABELS),
+    st.integers(0, 40),
+    st.integers(0, 2),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    reports=st.lists(st.lists(entity, max_size=10), min_size=1, max_size=5),
+    cap=st.integers(0, 30),
+    weight_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    block=st.integers(1, 12),
+)
+def test_batch_single_and_reference_agree(reports, cap, weight_seed, block):
+    """Batched and single-report decoding match the per-pair reference,
+    with blocks of reports that may end inside the batch."""
+    shape = (FEATURE_DIM, len(OUTPUT_KINDS))
+    if weight_seed is None:
+        weights = np.zeros(shape)
+    else:
+        weights = np.random.default_rng(weight_seed).normal(0.0, 2.0, size=shape)
+    params = RelationScorerParams(weights=weights, distance_cap=cap)
+    with mock.patch.object(relations, "_BLOCK_ENTITIES", block):
+        batch_pairs = candidate_pairs(reports, cap)
+        batch_relations = predict_relations(params, reports)
+    assert len(batch_pairs) == len(batch_relations) == len(reports)
+    for report, pairs, found in zip(reports, batch_pairs, batch_relations):
+        assert pairs == candidate_pairs(report, cap) == reference_pairs(report, cap)
+        assert found == predict_relations(params, report) == reference_relations(params, report)

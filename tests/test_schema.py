@@ -105,6 +105,14 @@ class TestParse:
         with pytest.raises(MalformedRecord):
             parse_report("d", rec)
 
+    def test_boolean_span_index_rejected(self):
+        for field in ("start_ix", "end_ix"):
+            for value in (True, False):
+                rec = make_record()
+                rec["entities"]["1"][field] = value
+                with pytest.raises(MalformedRecord, match="non-integer span"):
+                    parse_report("d", rec)
+
     def test_round_trip(self):
         g = parse_report("doc-1", make_record())
         again = parse_report("doc-1", serialize_report(g))
