@@ -8,7 +8,6 @@ one-to-one: duplicate gold items absorb at most one prediction each.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import DocMismatch
@@ -61,53 +60,57 @@ def _check_aligned(gold: ReportGraph, pred: ReportGraph) -> None:
         raise DocMismatch(f"{gold.doc_id}: token sequences differ")
 
 
-def _min_count_match(gold_keys, pred_keys, types) -> dict[str, TypeCounts]:
+def _min_count_match(gold_keys, pred_keys) -> dict[str, TypeCounts]:
     """One-to-one matching of identical keys, tallied per type.
 
-    Each key's first element is its type; duplicates match min-count.
+    Each key's first element is its type; duplicates match min-count,
+    since each prediction takes one still unmatched gold copy of its key.
     """
-    gold_c = Counter(gold_keys)
-    pred_c = Counter(pred_keys)
-    counts: dict[str, TypeCounts] = {t: TypeCounts() for t in types}
-    for key, n in gold_c.items():
-        counts[key[0]].gold += n
-    for key, n in pred_c.items():
-        counts[key[0]].pred += n
-        counts[key[0]].tp += min(n, gold_c.get(key, 0))
-    return {t: c for t, c in counts.items() if c.gold or c.pred}
+    unmatched: dict[tuple, int] = {}
+    counts: dict[str, TypeCounts] = {}
+    for key in gold_keys:
+        unmatched[key] = unmatched.get(key, 0) + 1
+        c = counts.get(key[0])
+        if c is None:
+            counts[key[0]] = TypeCounts(0, 0, 1)
+        else:
+            c.gold += 1
+    for key in pred_keys:
+        c = counts.get(key[0])
+        if c is None:
+            c = counts[key[0]] = TypeCounts()
+        c.pred += 1
+        n = unmatched.get(key)
+        if n:
+            unmatched[key] = n - 1
+            c.tp += 1
+    return counts
+
+
+def _entity_keys(graph: ReportGraph) -> dict[str, tuple[str, int, int]]:
+    return {eid: (e.label, e.start_ix, e.end_ix) for eid, e in graph.entities.items()}
+
+
+def _relation_keys(graph: ReportGraph, entity_keys) -> list[tuple]:
+    return [
+        (rel.kind, entity_keys[rel.source_id], entity_keys[rel.target_id])
+        for rel in graph.relations
+    ]
 
 
 def match_entities(gold: ReportGraph, pred: ReportGraph) -> dict[str, TypeCounts]:
     """Per-label counts of strict span+label matches."""
     _check_aligned(gold, pred)
-    gold_keys = [(e.label, e.start_ix, e.end_ix) for e in gold.entities.values()]
-    pred_keys = [(e.label, e.start_ix, e.end_ix) for e in pred.entities.values()]
-    labels = {k[0] for k in gold_keys} | {k[0] for k in pred_keys}
-    return _min_count_match(gold_keys, pred_keys, labels)
-
-
-def _relation_keys(graph: ReportGraph) -> list[tuple]:
-    keys = []
-    for rel in graph.relations:
-        src = graph.entities[rel.source_id]
-        dst = graph.entities[rel.target_id]
-        keys.append(
-            (
-                rel.kind,
-                (src.label, src.start_ix, src.end_ix),
-                (dst.label, dst.start_ix, dst.end_ix),
-            )
-        )
-    return keys
+    return _min_count_match(_entity_keys(gold).values(), _entity_keys(pred).values())
 
 
 def match_relations(gold: ReportGraph, pred: ReportGraph) -> dict[str, TypeCounts]:
     """Per-kind counts; endpoints must strict-match as entities."""
     _check_aligned(gold, pred)
-    gold_keys = _relation_keys(gold)
-    pred_keys = _relation_keys(pred)
-    kinds = {k[0] for k in gold_keys} | {k[0] for k in pred_keys}
-    return _min_count_match(gold_keys, pred_keys, kinds)
+    return _min_count_match(
+        _relation_keys(gold, _entity_keys(gold)),
+        _relation_keys(pred, _entity_keys(pred)),
+    )
 
 
 @dataclass
@@ -126,13 +129,14 @@ def grouped_row(label: str) -> str:
     return group if group in ("ANAT", "CHAN") else label
 
 
-def _merge(dicts, grouped: bool) -> dict[str, TypeCounts]:
-    merged: dict[str, TypeCounts] = {}
-    for d in dicts:
-        for key, counts in d.items():
-            row = grouped_row(key) if grouped else key
-            merged.setdefault(row, TypeCounts()).add(counts)
-    return merged
+def _merge_into(merged: dict[str, TypeCounts], per_type, grouped: bool) -> None:
+    for key, counts in per_type.items():
+        row = grouped_row(key) if grouped else key
+        m = merged.get(row)
+        if m is None:
+            merged[row] = TypeCounts(counts.tp, counts.pred, counts.gold)
+        else:
+            m.add(counts)
 
 
 def _micro(per_type: dict[str, TypeCounts]) -> TypeCounts:
@@ -271,34 +275,36 @@ def aggregate(counts, grouped: bool = False, with_sources: bool = True) -> EvalS
     """Merge per-report counts into EvalScores.
 
     Micro pools raw tallies; macro averages F1 over types present in
-    gold or predictions.  Merging is associative and commutative, so
-    report order never matters.
+    gold or predictions.  Each report is merged once, into the rows of
+    its source; the corpus rows are the merge of the per-source rows.
+    The tallies are integers, so report and source order never matter.
     """
-    counts = list(counts)
-    scores = EvalScores(
-        entity_types=_merge((c.entities for c in counts), grouped),
-        relation_kinds=_merge((c.relations for c in counts), grouped),
-    )
-    if with_sources:
-        sources = sorted({c.source for c in counts})
-        if len(sources) > 1:
-            scores.per_source = {
-                s: aggregate(
-                    [c for c in counts if c.source == s],
-                    grouped=grouped,
-                    with_sources=False,
-                )
-                for s in sources
-            }
+    by_source: dict[str, EvalScores] = {}
+    for c in counts:
+        sub = by_source.get(c.source)
+        if sub is None:
+            sub = by_source[c.source] = EvalScores({}, {})
+        _merge_into(sub.entity_types, c.entities, grouped)
+        _merge_into(sub.relation_kinds, c.relations, grouped)
+    scores = EvalScores({}, {})
+    for sub in by_source.values():
+        _merge_into(scores.entity_types, sub.entity_types, False)
+        _merge_into(scores.relation_kinds, sub.relation_kinds, False)
+    if with_sources and len(by_source) > 1:
+        scores.per_source = {s: by_source[s] for s in sorted(by_source)}
     return scores
 
 
 def evaluate_report(gold: ReportGraph, pred: ReportGraph) -> ReportCounts:
+    _check_aligned(gold, pred)
+    gold_keys, pred_keys = _entity_keys(gold), _entity_keys(pred)
     return ReportCounts(
-        doc_id=gold.doc_id,
-        source=gold.source,
-        entities=match_entities(gold, pred),
-        relations=match_relations(gold, pred),
+        gold.doc_id,
+        gold.source,
+        _min_count_match(gold_keys.values(), pred_keys.values()),
+        _min_count_match(
+            _relation_keys(gold, gold_keys), _relation_keys(pred, pred_keys)
+        ),
     )
 
 
@@ -314,7 +320,7 @@ def evaluate_intersection(
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
     gold_by = gold_ds.by_id()
     pred_by = pred_ds.by_id()
-    if set(gold_by) != set(pred_by):
+    if gold_by.keys() != pred_by.keys():
         only_g = sorted(set(gold_by) - set(pred_by))
         only_p = sorted(set(pred_by) - set(gold_by))
         raise DocMismatch(

@@ -97,6 +97,18 @@ def relation_signature_allowed(kind: str, src: str, dst: str) -> bool:
     return (label_group(src), label_group(dst)) in allowed
 
 
+# Per-record lookups for validate_graph, so that no check splits a label.
+_LEAF_SET = frozenset(ENTITY_LABELS)
+_CHAN_LEAVES = frozenset(l for l in ENTITY_LABELS if label_group(l) == "CHAN")
+_ALLOWED_TRIPLES = frozenset(
+    (kind, src, dst)
+    for kind in RELATION_KINDS
+    for src in ENTITY_LABELS
+    for dst in ENTITY_LABELS
+    if relation_signature_allowed(kind, src, dst)
+)
+
+
 @dataclass(frozen=True)
 class Entity:
     """A contiguous token span with a leaf label; indices are inclusive."""
@@ -199,7 +211,8 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
     split = record.get("split", record.get("data_split", "test"))
     if not isinstance(split, str):
         raise MalformedRecord(doc_id, "'split' is not a string")
-    split = SPLIT_ALIASES.get(split.lower(), split.lower())
+    split = split.lower()
+    split = SPLIT_ALIASES.get(split, split)
     if split not in SPLITS:
         raise MalformedRecord(doc_id, f"unknown split {split!r}")
 
@@ -229,34 +242,25 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
         # JSON true/false load as bool, which is an int subclass.
         if type(start_ix) is not int or type(end_ix) is not int:
             raise MalformedRecord(doc_id, f"entity {eid!r} has non-integer span")
-        entities[str(eid)] = Entity(
-            id=str(eid),
-            tokens=tokens,
-            start_ix=start_ix,
-            end_ix=end_ix,
-            label=normalize_label(label),
+        sid = str(eid)
+        entities[sid] = Entity(
+            sid, tokens, start_ix, end_ix, LABEL_ALIASES.get(label, label)
         )
         raw_rels = raw.get("relations", [])
         if not isinstance(raw_rels, list):
             raise MalformedRecord(doc_id, f"entity {eid!r} relations not a list")
-        for item in raw_rels:
-            if not (isinstance(item, list) and len(item) == 2):
-                raise MalformedRecord(
-                    doc_id, f"entity {eid!r} relation entry not a [kind, target] pair"
-                )
-            kind, target = item
-            relations.append(
-                Relation(source_id=str(eid), target_id=str(target), kind=str(kind))
-            )
+        if raw_rels:
+            for item in raw_rels:
+                if not (isinstance(item, list) and len(item) == 2):
+                    raise MalformedRecord(
+                        doc_id,
+                        f"entity {eid!r} relation entry not a [kind, target] pair",
+                    )
+                kind, target = item
+                relations.append(Relation(sid, str(target), str(kind)))
 
     return ReportGraph(
-        doc_id=doc_id,
-        text=text,
-        tokens=tuple(text.split()),
-        split=split,
-        source=source,
-        entities=entities,
-        relations=tuple(relations),
+        doc_id, text, tuple(text.split()), split, source, entities, tuple(relations)
     )
 
 
@@ -282,29 +286,43 @@ def serialize_report(graph: ReportGraph) -> dict:
     }
 
 
+def _relation_id(rel: Relation) -> str:
+    """How findings name a relation."""
+    return f"{rel.source_id}-{rel.kind}->{rel.target_id}"
+
+
 def validate_graph(graph: ReportGraph) -> list[Violation]:
     """All rule violations for one graph; empty for conforming graphs."""
     findings: list[Violation] = []
-    n = len(graph.tokens)
+    tokens = graph.tokens
+    n = len(tokens)
+    entities = graph.entities
 
+    # Change entity id -> None before its first incident relation, then
+    # whether every incident relation so far is a modify.
+    modify_only: dict[str, bool | None] = {}
     seen_triples: dict[tuple[int, int, str], str] = {}
-    for eid, ent in graph.entities.items():
-        if not is_entity_label(ent.label):
+    for eid, ent in entities.items():
+        label = ent.label
+        if label not in _LEAF_SET:
             findings.append(
-                Violation("unknown_label", "error", eid, f"unknown label {ent.label!r}")
+                Violation("unknown_label", "error", eid, f"unknown label {label!r}")
             )
             continue
-        if not (0 <= ent.start_ix <= ent.end_ix < n):
+        if label in _CHAN_LEAVES:
+            modify_only[eid] = None
+        start, end = ent.start_ix, ent.end_ix
+        if not (0 <= start <= end < n):
             findings.append(
                 Violation(
                     "span_bounds",
                     "error",
                     eid,
-                    f"span [{ent.start_ix}, {ent.end_ix}] outside 0..{n - 1}",
+                    f"span [{start}, {end}] outside 0..{n - 1}",
                 )
             )
             continue
-        span = graph.span_text(ent)
+        span = " ".join(tokens[start : end + 1])
         if span != ent.tokens:
             findings.append(
                 Violation(
@@ -314,73 +332,84 @@ def validate_graph(graph: ReportGraph) -> list[Violation]:
                     f"entity text {ent.tokens!r} != report span {span!r}",
                 )
             )
-        triple = (ent.start_ix, ent.end_ix, ent.label)
-        if triple in seen_triples:
+        first = seen_triples.setdefault((start, end, label), eid)
+        if first != eid:
             findings.append(
                 Violation(
                     "duplicate_entity",
                     "error",
                     eid,
-                    f"same span and label as entity {seen_triples[triple]!r}",
+                    f"same span and label as entity {first!r}",
                 )
             )
-        else:
-            seen_triples[triple] = eid
 
-    incident: dict[str, list[Relation]] = {eid: [] for eid in graph.entities}
     seen_rels: set[tuple[str, str, str]] = set()
-    for i, rel in enumerate(graph.relations):
-        rid = f"{rel.source_id}-{rel.kind}->{rel.target_id}"
-        if rel.kind not in RELATION_KINDS:
+    for rel in graph.relations:
+        src_id, dst_id, kind = rel.source_id, rel.target_id, rel.kind
+        if kind not in RELATION_KINDS:
             findings.append(
                 Violation(
-                    "unknown_relation_kind", "error", rid, f"unknown kind {rel.kind!r}"
+                    "unknown_relation_kind",
+                    "error",
+                    _relation_id(rel),
+                    f"unknown kind {kind!r}",
                 )
             )
             continue
-        if rel.source_id not in graph.entities or rel.target_id not in graph.entities:
-            missing = (
-                rel.target_id if rel.target_id not in graph.entities else rel.source_id
-            )
+        if src_id not in entities or dst_id not in entities:
+            missing = dst_id if dst_id not in entities else src_id
             findings.append(
                 Violation(
                     "dangling_relation",
                     "error",
-                    rid,
+                    _relation_id(rel),
                     f"endpoint {missing!r} does not resolve",
                 )
             )
             continue
-        if rel.source_id == rel.target_id:
+        if src_id == dst_id:
             findings.append(
-                Violation("self_relation", "error", rid, "entity related to itself")
+                Violation(
+                    "self_relation",
+                    "error",
+                    _relation_id(rel),
+                    "entity related to itself",
+                )
             )
             continue
-        incident[rel.source_id].append(rel)
-        incident[rel.target_id].append(rel)
+        if modify_only.get(src_id, False) is not False:
+            modify_only[src_id] = kind == "modify"
+        if modify_only.get(dst_id, False) is not False:
+            modify_only[dst_id] = kind == "modify"
 
-        key = (rel.source_id, rel.target_id, rel.kind)
+        key = (src_id, dst_id, kind)
         if key in seen_rels:
             findings.append(
-                Violation("duplicate_relation", "warning", rid, "relation repeated")
+                Violation(
+                    "duplicate_relation",
+                    "warning",
+                    _relation_id(rel),
+                    "relation repeated",
+                )
             )
-        seen_rels.add(key)
+        else:
+            seen_rels.add(key)
 
-        src = graph.entities[rel.source_id]
-        dst = graph.entities[rel.target_id]
-        if not (is_entity_label(src.label) and is_entity_label(dst.label)):
+        src_label = entities[src_id].label
+        dst_label = entities[dst_id].label
+        if src_label not in _LEAF_SET or dst_label not in _LEAF_SET:
             continue  # already reported as unknown_label
-        if not relation_signature_allowed(rel.kind, src.label, dst.label):
+        if (kind, src_label, dst_label) not in _ALLOWED_TRIPLES:
             if (
-                rel.kind == "suggestive_of"
-                and src.group == "CHAN"
-                and dst.group == "CHAN"
+                kind == "suggestive_of"
+                and src_label in _CHAN_LEAVES
+                and dst_label in _CHAN_LEAVES
             ):
                 findings.append(
                     Violation(
                         "chan_chan_suggestive",
                         "warning",
-                        rid,
+                        _relation_id(rel),
                         "suggestive_of between two change entities",
                     )
                 )
@@ -389,16 +418,13 @@ def validate_graph(graph: ReportGraph) -> list[Violation]:
                     Violation(
                         "bad_signature",
                         "error",
-                        rid,
-                        f"{rel.kind} ({src.label}, {dst.label}) not in the allowed set",
+                        _relation_id(rel),
+                        f"{kind} ({src_label}, {dst_label}) not in the allowed set",
                     )
                 )
 
-    for eid, ent in graph.entities.items():
-        if not is_entity_label(ent.label) or ent.group != "CHAN":
-            continue
-        rels = incident.get(eid, [])
-        if not rels:
+    for eid, only in modify_only.items():
+        if only is None:
             findings.append(
                 Violation(
                     "chan_isolated",
@@ -407,7 +433,7 @@ def validate_graph(graph: ReportGraph) -> list[Violation]:
                     "change entity with no incident relation",
                 )
             )
-        elif any(r.kind != "modify" for r in rels):
+        elif not only:
             findings.append(
                 Violation(
                     "chan_non_modify",

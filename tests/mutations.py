@@ -1,0 +1,208 @@
+"""Hypothesis strategies for wire-format records: valid ones, then broken.
+
+``records()`` draws a well-formed record (entities inside the text,
+matching token text, relations between existing entities) and then
+applies zero to three mutations, each one a way real annotation files
+go wrong: missing keys, values of the wrong JSON type, booleans as span
+indices, spans outside the text, unknown labels and kinds, dangling,
+self and repeated relations, change entities with and without modify
+relations.  Mutations reach into entities only while the record still
+has the shape to hold them.
+"""
+
+from __future__ import annotations
+
+import copy
+
+from hypothesis import strategies as st
+
+from hiergraph.schema import ENTITY_LABELS, LABEL_ALIASES, RELATION_KINDS
+
+VOCAB = ("the", "heart", "is", "enlarged", "no", "new", "effusion")
+IDS = ("a", "b", "c", "d", "e")
+JUNK = (None, 0, 1.5, True, False, "x", [], {}, ["a", "b"], [1], {"k": 1})
+LABELS = ENTITY_LABELS + tuple(LABEL_ALIASES) + ("FOO", "CHAN-XYZ", "anat-dp")
+KINDS = RELATION_KINDS + ("causes", "MODIFY")
+SPLIT_VALUES = ("train", "validation", "test", "dev", "valid", "TEST", "bogus")
+SOURCE_VALUES = ("MIMIC-CXR", "mimic-cxr", "CheXpert", "synthetic", "Other")
+RECORD_KEYS = ("text", "split", "source", "entities", "data_split", "data_source")
+ENTITY_KEYS = ("tokens", "label", "start_ix", "end_ix", "relations")
+
+
+def _entities(record):
+    if isinstance(record, dict) and isinstance(record.get("entities"), dict):
+        return record["entities"]
+    return None
+
+
+def _entity(draw, record):
+    """An entity object of the record to mutate, or None."""
+    entities = _entities(record)
+    if not entities:
+        return None
+    ent = entities[draw(st.sampled_from(sorted(entities)))]
+    return ent if isinstance(ent, dict) else None
+
+
+def _relations(draw, record):
+    """A relation list of the record to append to, or None."""
+    ent = _entity(draw, record)
+    if ent is None:
+        return None
+    rels = ent.setdefault("relations", [])
+    return rels if isinstance(rels, list) else None
+
+
+def drop_record_key(draw, record):
+    if isinstance(record, dict) and record:
+        del record[draw(st.sampled_from(sorted(record)))]
+
+
+def retype_record_value(draw, record):
+    if isinstance(record, dict):
+        record[draw(st.sampled_from(RECORD_KEYS))] = draw(st.sampled_from(JUNK))
+
+
+def respell_metadata(draw, record):
+    if not isinstance(record, dict):
+        return
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(("split", "data_split")))
+        record[key] = draw(st.sampled_from(SPLIT_VALUES))
+    else:
+        key = draw(st.sampled_from(("source", "data_source")))
+        record[key] = draw(st.sampled_from(SOURCE_VALUES))
+
+
+def drop_entity_key(draw, record):
+    ent = _entity(draw, record)
+    if ent:
+        del ent[draw(st.sampled_from(sorted(ent)))]
+
+
+def retype_entity_field(draw, record):
+    ent = _entity(draw, record)
+    if ent is not None:
+        ent[draw(st.sampled_from(ENTITY_KEYS))] = draw(st.sampled_from(JUNK))
+
+
+def retype_relations(draw, record):
+    ent = _entity(draw, record)
+    if ent is not None:
+        ent["relations"] = draw(st.sampled_from(JUNK))
+
+
+def boolean_span_index(draw, record):
+    ent = _entity(draw, record)
+    if ent is not None:
+        ent[draw(st.sampled_from(("start_ix", "end_ix")))] = draw(st.booleans())
+
+
+def bad_span(draw, record):
+    ent = _entity(draw, record)
+    if ent is not None:
+        ent[draw(st.sampled_from(("start_ix", "end_ix")))] = draw(st.integers(-2, 10))
+
+
+def wrong_token_text(draw, record):
+    ent = _entity(draw, record)
+    if ent is not None:
+        ent["tokens"] = draw(st.sampled_from(("zzz", "", "the  heart", "heart")))
+
+
+def relabel(draw, record):
+    ent = _entity(draw, record)
+    if ent is not None:
+        ent["label"] = draw(st.sampled_from(LABELS))
+
+
+def add_relation(draw, record):
+    """A relation of any kind, to an entity, to itself or to nothing."""
+    rels = _relations(draw, record)
+    if rels is not None:
+        kind = draw(st.sampled_from(KINDS + (1,)))
+        target = draw(st.sampled_from(IDS + ("zz", 7)))
+        rels.append([kind, target])
+
+
+def repeat_relation(draw, record):
+    rels = _relations(draw, record)
+    if rels:
+        rels.append(copy.deepcopy(draw(st.sampled_from(rels))))
+
+
+def bad_relation_entry(draw, record):
+    rels = _relations(draw, record)
+    if rels is not None:
+        rels.append(draw(st.sampled_from(("modify", ["modify"], ["modify", "a", "b"], None, {}))))
+
+
+def repeat_entity(draw, record):
+    """A second entity with the same span and label under a new id."""
+    entities = _entities(record)
+    ent = _entity(draw, record)
+    if ent is not None:
+        entities[draw(st.sampled_from(("x", "y")))] = copy.deepcopy(ent)
+
+
+def junk_entity(draw, record):
+    entities = _entities(record)
+    if entities is not None:
+        entities[draw(st.sampled_from(IDS))] = draw(st.sampled_from(JUNK))
+
+
+MUTATIONS = (
+    drop_record_key,
+    retype_record_value,
+    respell_metadata,
+    drop_entity_key,
+    retype_entity_field,
+    retype_relations,
+    boolean_span_index,
+    bad_span,
+    wrong_token_text,
+    relabel,
+    add_relation,
+    repeat_relation,
+    bad_relation_entry,
+    repeat_entity,
+    junk_entity,
+)
+
+
+@st.composite
+def valid_records(draw):
+    tokens = draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8))
+    n = len(tokens)
+    ids = draw(st.lists(st.sampled_from(IDS), unique=True, max_size=4))
+    entities = {}
+    for eid in ids:
+        start = draw(st.integers(0, n - 1))
+        end = draw(st.integers(start, n - 1))
+        entities[eid] = {
+            "tokens": " ".join(tokens[start : end + 1]),
+            "label": draw(st.sampled_from(ENTITY_LABELS)),
+            "start_ix": start,
+            "end_ix": end,
+            "relations": [],
+        }
+    for _ in range(draw(st.integers(0, 5)) if ids else 0):
+        src, dst = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        entities[src]["relations"].append([draw(st.sampled_from(RELATION_KINDS)), dst])
+    return {
+        "text": " ".join(tokens),
+        "split": draw(st.sampled_from(("train", "test"))),
+        "source": draw(st.sampled_from(SOURCE_VALUES[:4])),
+        "entities": entities,
+    }
+
+
+@st.composite
+def records(draw):
+    """A valid record after zero to three mutations; rarely not an object."""
+    if draw(st.integers(0, 30)) == 0:
+        return draw(st.sampled_from(JUNK))
+    record = draw(valid_records())
+    for _ in range(draw(st.integers(0, 3))):
+        draw(st.sampled_from(MUTATIONS))(draw, record)
+    return record

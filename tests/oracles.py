@@ -3,14 +3,19 @@
 Everything here is deliberately naive: extended-precision arithmetic,
 path walks instead of recursion, exhaustive assignment search instead
 of counting tricks, a per-token training loop instead of batched array
-maths, and a per-pair relation scorer with dense feature vectors
-instead of index lookups.  Slow is fine; agreeing with these is the point.
+maths, a per-pair relation scorer with dense feature vectors instead of
+index lookups, and the record loader and strict evaluator written
+with per-call helpers, Counters and two merges per report instead of
+import-time tables and plain dicts.  Slow is fine; agreeing with these
+is the point.
 """
 
 from __future__ import annotations
 
 import mpmath as mp
 import numpy as np
+
+from collections import Counter
 
 from hiergraph import (
     Relation,
@@ -23,14 +28,26 @@ from hiergraph import (
     relation_signature_allowed,
     unconditional_loss,
 )
-from hiergraph.errors import EmptyDataset
+from hiergraph.errors import DocMismatch, EmptyDataset, MalformedRecord
+from hiergraph.evaluation import EvalScores, ReportCounts, TypeCounts, grouped_row
 from hiergraph.relations import (
     DISTANCE_BUCKETS,
     FEATURE_DIM,
     NONE_KIND,
     OUTPUT_KINDS,
 )
-from hiergraph.schema import ENTITY_LABELS
+from hiergraph.schema import (
+    ENTITY_LABELS,
+    RELATION_KINDS,
+    SOURCES,
+    SPLIT_ALIASES,
+    SPLITS,
+    Entity,
+    ReportGraph,
+    Violation,
+    is_entity_label,
+    normalize_label,
+)
 
 mp.mp.dps = 50
 
@@ -309,3 +326,298 @@ def reference_train_relations(ds, cfg, cap):
             grad = phi[batch].T @ probs / len(batch)
             weights -= cfg.lr_phase1 * (grad + cfg.l2 * weights)
     return RelationScorerParams(weights=weights, distance_cap=cap)
+
+
+# --- record loader, one helper call per check ---------------------------------
+
+_SOURCE_BY_LOWER = {s.lower(): s for s in SOURCES}
+
+
+def reference_parse_report(doc_id, record):
+    """``parse_report`` with keyword construction and per-entity helpers."""
+    if not isinstance(record, dict):
+        raise MalformedRecord(doc_id, "record is not an object")
+    try:
+        text = record["text"]
+    except KeyError:
+        raise MalformedRecord(doc_id, "missing 'text'") from None
+    if not isinstance(text, str):
+        raise MalformedRecord(doc_id, "'text' is not a string")
+
+    split = record.get("split", record.get("data_split", "test"))
+    if not isinstance(split, str):
+        raise MalformedRecord(doc_id, "'split' is not a string")
+    split = SPLIT_ALIASES.get(split.lower(), split.lower())
+    if split not in SPLITS:
+        raise MalformedRecord(doc_id, f"unknown split {split!r}")
+
+    source = record.get("source", record.get("data_source", "synthetic"))
+    if not isinstance(source, str):
+        raise MalformedRecord(doc_id, "'source' is not a string")
+    source = _SOURCE_BY_LOWER.get(source.lower(), source)
+
+    raw_entities = record.get("entities", {})
+    if not isinstance(raw_entities, dict):
+        raise MalformedRecord(doc_id, "'entities' is not an object")
+
+    entities = {}
+    relations = []
+    for eid, raw in raw_entities.items():
+        if not isinstance(raw, dict):
+            raise MalformedRecord(doc_id, f"entity {eid!r} is not an object")
+        try:
+            tokens = raw["tokens"]
+            label = raw["label"]
+            start_ix = raw["start_ix"]
+            end_ix = raw["end_ix"]
+        except KeyError as exc:
+            raise MalformedRecord(doc_id, f"entity {eid!r} missing {exc}") from None
+        if not isinstance(tokens, str) or not isinstance(label, str):
+            raise MalformedRecord(doc_id, f"entity {eid!r} has non-string fields")
+        if type(start_ix) is not int or type(end_ix) is not int:
+            raise MalformedRecord(doc_id, f"entity {eid!r} has non-integer span")
+        entities[str(eid)] = Entity(
+            id=str(eid),
+            tokens=tokens,
+            start_ix=start_ix,
+            end_ix=end_ix,
+            label=normalize_label(label),
+        )
+        raw_rels = raw.get("relations", [])
+        if not isinstance(raw_rels, list):
+            raise MalformedRecord(doc_id, f"entity {eid!r} relations not a list")
+        for item in raw_rels:
+            if not (isinstance(item, list) and len(item) == 2):
+                raise MalformedRecord(
+                    doc_id, f"entity {eid!r} relation entry not a [kind, target] pair"
+                )
+            kind, target = item
+            relations.append(
+                Relation(source_id=str(eid), target_id=str(target), kind=str(kind))
+            )
+
+    return ReportGraph(
+        doc_id=doc_id,
+        text=text,
+        tokens=tuple(text.split()),
+        split=split,
+        source=source,
+        entities=entities,
+        relations=tuple(relations),
+    )
+
+
+def reference_validate_graph(graph):
+    """``validate_graph`` with per-relation signature calls and incident lists."""
+    findings = []
+    n = len(graph.tokens)
+
+    seen_triples = {}
+    for eid, ent in graph.entities.items():
+        if not is_entity_label(ent.label):
+            findings.append(
+                Violation("unknown_label", "error", eid, f"unknown label {ent.label!r}")
+            )
+            continue
+        if not (0 <= ent.start_ix <= ent.end_ix < n):
+            findings.append(
+                Violation(
+                    "span_bounds",
+                    "error",
+                    eid,
+                    f"span [{ent.start_ix}, {ent.end_ix}] outside 0..{n - 1}",
+                )
+            )
+            continue
+        span = graph.span_text(ent)
+        if span != ent.tokens:
+            findings.append(
+                Violation(
+                    "token_text",
+                    "error",
+                    eid,
+                    f"entity text {ent.tokens!r} != report span {span!r}",
+                )
+            )
+        triple = (ent.start_ix, ent.end_ix, ent.label)
+        if triple in seen_triples:
+            findings.append(
+                Violation(
+                    "duplicate_entity",
+                    "error",
+                    eid,
+                    f"same span and label as entity {seen_triples[triple]!r}",
+                )
+            )
+        else:
+            seen_triples[triple] = eid
+
+    incident = {eid: [] for eid in graph.entities}
+    seen_rels = set()
+    for rel in graph.relations:
+        rid = f"{rel.source_id}-{rel.kind}->{rel.target_id}"
+        if rel.kind not in RELATION_KINDS:
+            findings.append(
+                Violation(
+                    "unknown_relation_kind", "error", rid, f"unknown kind {rel.kind!r}"
+                )
+            )
+            continue
+        if rel.source_id not in graph.entities or rel.target_id not in graph.entities:
+            missing = (
+                rel.target_id if rel.target_id not in graph.entities else rel.source_id
+            )
+            findings.append(
+                Violation(
+                    "dangling_relation",
+                    "error",
+                    rid,
+                    f"endpoint {missing!r} does not resolve",
+                )
+            )
+            continue
+        if rel.source_id == rel.target_id:
+            findings.append(
+                Violation("self_relation", "error", rid, "entity related to itself")
+            )
+            continue
+        incident[rel.source_id].append(rel)
+        incident[rel.target_id].append(rel)
+
+        key = (rel.source_id, rel.target_id, rel.kind)
+        if key in seen_rels:
+            findings.append(
+                Violation("duplicate_relation", "warning", rid, "relation repeated")
+            )
+        seen_rels.add(key)
+
+        src = graph.entities[rel.source_id]
+        dst = graph.entities[rel.target_id]
+        if not (is_entity_label(src.label) and is_entity_label(dst.label)):
+            continue
+        if not relation_signature_allowed(rel.kind, src.label, dst.label):
+            if (
+                rel.kind == "suggestive_of"
+                and src.group == "CHAN"
+                and dst.group == "CHAN"
+            ):
+                findings.append(
+                    Violation(
+                        "chan_chan_suggestive",
+                        "warning",
+                        rid,
+                        "suggestive_of between two change entities",
+                    )
+                )
+            else:
+                findings.append(
+                    Violation(
+                        "bad_signature",
+                        "error",
+                        rid,
+                        f"{rel.kind} ({src.label}, {dst.label}) not in the allowed set",
+                    )
+                )
+
+    for eid, ent in graph.entities.items():
+        if not is_entity_label(ent.label) or ent.group != "CHAN":
+            continue
+        rels = incident.get(eid, [])
+        if not rels:
+            findings.append(
+                Violation(
+                    "chan_isolated",
+                    "warning",
+                    eid,
+                    "change entity with no incident relation",
+                )
+            )
+        elif any(r.kind != "modify" for r in rels):
+            findings.append(
+                Violation(
+                    "chan_non_modify",
+                    "warning",
+                    eid,
+                    "change entity attached via a non-modify relation",
+                )
+            )
+
+    return findings
+
+
+# --- strict evaluator, Counters and one merge per aggregation level ----------
+
+
+def reference_min_count_match(gold_keys, pred_keys, types):
+    """One-to-one matching of identical keys by two Counters."""
+    gold_c = Counter(gold_keys)
+    pred_c = Counter(pred_keys)
+    counts = {t: TypeCounts() for t in types}
+    for key, n in gold_c.items():
+        counts[key[0]].gold += n
+    for key, n in pred_c.items():
+        counts[key[0]].pred += n
+        counts[key[0]].tp += min(n, gold_c.get(key, 0))
+    return {t: c for t, c in counts.items() if c.gold or c.pred}
+
+
+def _reference_relation_keys(graph):
+    keys = []
+    for rel in graph.relations:
+        src = graph.entities[rel.source_id]
+        dst = graph.entities[rel.target_id]
+        keys.append(
+            (
+                rel.kind,
+                (src.label, src.start_ix, src.end_ix),
+                (dst.label, dst.start_ix, dst.end_ix),
+            )
+        )
+    return keys
+
+
+def reference_evaluate_report(gold, pred):
+    """``evaluate_report`` checking alignment once per matcher."""
+    counts = []
+    for keys_of in (
+        lambda g: [(e.label, e.start_ix, e.end_ix) for e in g.entities.values()],
+        _reference_relation_keys,
+    ):
+        if gold.doc_id != pred.doc_id:
+            raise DocMismatch(f"doc ids differ: {gold.doc_id!r} vs {pred.doc_id!r}")
+        if gold.tokens != pred.tokens:
+            raise DocMismatch(f"{gold.doc_id}: token sequences differ")
+        gold_keys, pred_keys = keys_of(gold), keys_of(pred)
+        types = {k[0] for k in gold_keys} | {k[0] for k in pred_keys}
+        counts.append(reference_min_count_match(gold_keys, pred_keys, types))
+    return ReportCounts(gold.doc_id, gold.source, counts[0], counts[1])
+
+
+def _reference_merge(dicts, grouped):
+    merged = {}
+    for d in dicts:
+        for key, counts in d.items():
+            row = grouped_row(key) if grouped else key
+            merged.setdefault(row, TypeCounts()).add(counts)
+    return merged
+
+
+def reference_aggregate(counts, grouped=False, with_sources=True):
+    """``aggregate`` merging every report into the corpus and its source."""
+    counts = list(counts)
+    scores = EvalScores(
+        entity_types=_reference_merge((c.entities for c in counts), grouped),
+        relation_kinds=_reference_merge((c.relations for c in counts), grouped),
+    )
+    if with_sources:
+        sources = sorted({c.source for c in counts})
+        if len(sources) > 1:
+            scores.per_source = {
+                s: reference_aggregate(
+                    [c for c in counts if c.source == s],
+                    grouped=grouped,
+                    with_sources=False,
+                )
+                for s in sources
+            }
+    return scores

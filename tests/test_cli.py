@@ -1,13 +1,21 @@
 """End-to-end command-line workflows and exit codes."""
 
+import gc
+import io
 import json
 import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergraph import load_dataset, save_dataset
 from hiergraph.cli import main
 from hiergraph.synth import make_separable_corpus
+
+from mutations import JUNK, MUTATIONS, valid_records
 
 
 @pytest.fixture(scope="module")
@@ -341,7 +349,7 @@ class TestNotUtf8:
         assert err.startswith("invalid:") and "not UTF-8" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["validate", "stats"])
+    @pytest.mark.parametrize("command", ["validate", "stats", "tokenize"])
     def test_dataset_commands(self, command, tmp_path, capsys):
         assert main([command, self._binary(tmp_path)]) == 2
         self._invalid(capsys)
@@ -436,3 +444,66 @@ class TestUsage:
     def test_unknown_flag(self, small_path, capsys):
         assert main(["validate", small_path, "--frobnicate"]) == 1
         capsys.readouterr()
+
+
+@st.composite
+def dataset_files(draw):
+    """A valid dataset file and a mutated copy of it, as bytes."""
+    clean = {f"r{i}": draw(valid_records()) for i in range(draw(st.integers(1, 3)))}
+    doc = json.loads(json.dumps(clean))
+    for doc_id in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
+        draw(st.sampled_from(MUTATIONS))(draw, doc[doc_id])
+    shape = draw(st.integers(0, 9))
+    if shape == 0:
+        doc = draw(st.sampled_from([d for d in JUNK if not isinstance(d, dict)]))
+    elif shape == 1:
+        doc["_meta"] = draw(st.sampled_from(JUNK))
+    elif shape == 2:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(JUNK))
+    data = json.dumps(doc).encode()
+    damage = draw(st.integers(0, 9))
+    if damage == 0:
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif damage == 1:
+        data = b"\xff\xfe" + data
+    return json.dumps(clean).encode(), data
+
+
+class TestExitCodeFuzz:
+    """Mutated dataset files give a documented exit code, never a traceback."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(dataset_files())
+    def test_validate_stats_eval(self, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            clean, data = os.path.join(tmp, "clean.json"), os.path.join(tmp, "data.json")
+            for path, content in ((clean, files[0]), (data, files[1])):
+                with open(path, "wb") as fh:
+                    fh.write(content)
+            for argv in (
+                ["validate", data],
+                ["validate", "--strict", data],
+                ["stats", data],
+                ["eval", clean, data],
+                ["eval", data, clean, "--mode", "radgraph1-common", "--grouped"],
+            ):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                assert gc.isenabled()
+
+
+@pytest.mark.parametrize("command", ["validate", "stats", "eval"])
+def test_collector_state_restored(command, small_path, capsys):
+    argv = [command, small_path] + ([small_path] if command == "eval" else [])
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert main(argv) == 0
+    assert gc.isenabled()
+    capsys.readouterr()

@@ -1,6 +1,10 @@
 """Strict matching, aggregation, and the corpus evaluator."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergraph import (
     DocMismatch,
@@ -11,10 +15,24 @@ from hiergraph import (
     match_relations,
     parse_report,
 )
-from hiergraph.evaluation import evaluate_report, grouped_row
+from hiergraph.evaluation import (
+    EVAL_MODES,
+    _min_count_match,
+    evaluate_report,
+    grouped_row,
+)
+from hiergraph.corpus import Dataset
+from hiergraph.schema import SOURCES, prune_to_radgraph1
 from hiergraph.synth import make_random_corpus, perturb_predictions
 
-from oracles import brute_entity_counts, brute_pooled_f1, brute_relation_counts
+from oracles import (
+    brute_entity_counts,
+    brute_pooled_f1,
+    brute_relation_counts,
+    reference_aggregate,
+    reference_evaluate_report,
+    reference_min_count_match,
+)
 
 TOKENS = "w0 w1 w2 w3 w4 w5 w6 w7"
 
@@ -304,6 +322,56 @@ class TestBruteForceEquivalence:
             scores = aggregate(counts)
             assert scores.entity_f1_micro == brute_pooled_f1(ent_dicts)
             assert scores.relation_f1_micro == brute_pooled_f1(rel_dicts)
+
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    @pytest.mark.parametrize("grouped", [False, True])
+    def test_aggregate_matches_reference(self, mode, grouped):
+        for seed in (0, 1):
+            ds = make_random_corpus(n_reports=40, seed=seed)
+            assert {r.source for r in ds.reports} == set(SOURCES)
+            pred_ds = perturb_predictions(ds, seed=seed + 100)
+            noisy = pred_ds.by_id()
+            counts, ref_counts = [], []
+            for gold in ds.reports:
+                pred = noisy[gold.doc_id]
+                if mode == "radgraph1-common":
+                    gold, pred = prune_to_radgraph1(gold), prune_to_radgraph1(pred)
+                got, want = evaluate_report(gold, pred), reference_evaluate_report(gold, pred)
+                assert flat(got.entities) == flat(want.entities), gold.doc_id
+                assert flat(got.relations) == flat(want.relations), gold.doc_id
+                counts.append(got)
+                ref_counts.append(want)
+            want = reference_aggregate(ref_counts, grouped=grouped)
+            assert set(want.per_source) == set(SOURCES)
+            # Report order must not matter either.
+            scores = (
+                aggregate(counts, grouped=grouped),
+                aggregate(reversed(counts), grouped=grouped),
+                evaluate_intersection(ds, pred_ds, mode=mode, grouped=grouped),
+            )
+            for got in scores:
+                assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+                assert got.to_text() == want.to_text()
+
+    def test_one_source_has_no_breakdown(self):
+        ds = make_random_corpus(n_reports=20, seed=3)
+        ds = Dataset([r for r in ds.reports if r.source == "CheXpert"])
+        noisy = perturb_predictions(ds, seed=4).by_id()
+        counts = [reference_evaluate_report(g, noisy[g.doc_id]) for g in ds.reports]
+        want = reference_aggregate(counts)
+        got = aggregate(counts)
+        assert not got.per_source and not want.per_source
+        assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("AB"), st.integers(0, 2))),
+        st.lists(st.tuples(st.sampled_from("ABC"), st.integers(0, 2))),
+    )
+    def test_min_count_match_matches_reference(self, gold_keys, pred_keys):
+        types = {k[0] for k in gold_keys} | {k[0] for k in pred_keys}
+        want = reference_min_count_match(gold_keys, pred_keys, types)
+        assert flat(_min_count_match(gold_keys, pred_keys)) == flat(want)
 
     def test_self_prediction_is_perfect(self):
         ds = make_random_corpus(n_reports=15, seed=5)

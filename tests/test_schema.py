@@ -1,6 +1,7 @@
 """Report-graph parsing, validation rules, pruning, and DOT export."""
 
 import pytest
+from hypothesis import given, settings
 
 from hiergraph import (
     ENTITY_LABELS,
@@ -15,6 +16,9 @@ from hiergraph import (
     validate_graph,
 )
 from hiergraph.schema import label_group, normalize_label
+
+from mutations import records
+from oracles import reference_parse_report, reference_validate_graph
 
 
 def make_record(**overrides):
@@ -395,3 +399,22 @@ class TestGraphTypes:
         rec2["entities"] = dict(reversed(list(rec["entities"].items())))
         g2 = parse_report("d", rec2)
         assert g1 == g2
+
+
+class TestAgainstReference:
+    """The loader and the validator agree with their per-call references."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(records())
+    def test_mutated_records(self, record):
+        try:
+            want = reference_parse_report("doc", record)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                parse_report("doc", record)
+            assert str(got.value) == str(exc)
+            return
+        got = parse_report("doc", record)
+        assert got == want
+        assert got.relations == want.relations  # declaration order too
+        assert validate_graph(got) == reference_validate_graph(want)
