@@ -25,7 +25,7 @@ from .corpus import (
     save_dataset,
     tokenize,
 )
-from .errors import FileUnreadable, HierGraphError, MalformedRecord
+from .errors import EmptyDataset, FileUnreadable, HierGraphError, MalformedRecord
 from .evaluation import EVAL_MODES, evaluate_intersection
 from .losses import check_loss_gradients, check_loss_invariants
 from .model_io import load_model, save_model
@@ -186,9 +186,11 @@ def _cmd_train(args) -> int:
             metrics.write(json.dumps(record) + "\n")
 
         tagger = train_two_phase(subset, tree, cfg, on_epoch=on_epoch)
+        # With the tagger trained on the same reports and config, the only
+        # error left to the scorer is having no candidate pairs.
         try:
             scorer = train_relation_scorer(subset, cfg, cap=args.distance_cap)
-        except HierGraphError:
+        except EmptyDataset:
             scorer = None
 
     save_model(args.output, tree, tagger, relations=scorer, train_config=cfg)

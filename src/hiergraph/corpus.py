@@ -8,7 +8,7 @@ import json
 import os
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     DocMismatch,
@@ -61,16 +61,17 @@ def tokenize(text: str) -> list[str]:
 
 @dataclass
 class Dataset:
-    """Parsed reports plus the split -> doc_id partition index."""
+    """Parsed reports."""
 
     reports: list[ReportGraph]
-    partitions: dict[str, list[str]] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not self.partitions:
-            self.partitions = {s: [] for s in SPLITS}
-            for report in self.reports:
-                self.partitions.setdefault(report.split, []).append(report.doc_id)
+    @property
+    def partitions(self) -> dict[str, list[str]]:
+        """Split -> doc ids in report order; every split in SPLITS is a key."""
+        partitions: dict[str, list[str]] = {s: [] for s in SPLITS}
+        for report in self.reports:
+            partitions.setdefault(report.split, []).append(report.doc_id)
+        return partitions
 
     def __len__(self) -> int:
         return len(self.reports)
@@ -160,6 +161,16 @@ def save_dataset(ds: Dataset, path: str, meta: dict | None = None) -> None:
 
 
 # --- label statistics -------------------------------------------------------
+
+
+def _aligned(rows) -> list[str]:
+    """Table rows as lines, each column left-aligned to its widest cell
+    and two spaces apart, with trailing spaces stripped."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    return [
+        "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() for r in rows
+    ]
+
 
 # Table rows: anatomy aggregated over its subtree, all other leaves listed.
 ENTITY_ROWS = ("ANAT",) + tuple(l for l in ENTITY_LABELS if l != "ANAT-DP")
@@ -254,13 +265,7 @@ class LabelStats:
             ["Total Relations"]
             + [f"{c.total_relations} (100.0)" if c.total_relations else "0 (0.0)" for c in self.columns]
         )
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        out = []
-        for r in rows:
-            out.append(
-                "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-            )
-        return "\n".join(out) + "\n"
+        return "\n".join(_aligned(rows)) + "\n"
 
 
 def _column_order(ds: Dataset) -> list[tuple[str, str, str | None]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .corpus import _aligned
 from .errors import DocMismatch
 from .schema import ReportGraph, label_group, prune_to_radgraph1
 
@@ -249,11 +250,7 @@ class EvalScores:
                 )
             )
             rows.append(("macro", "", "", f"{_macro(per_type):.3f}", "", "", ""))
-            widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-            for r in rows:
-                lines.append(
-                    "  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip()
-                )
+            lines.extend(_aligned(rows))
 
         section("Entities", self.entity_types)
         lines.append("")
@@ -271,7 +268,7 @@ class EvalScores:
         return "\n".join(lines) + "\n"
 
 
-def aggregate(counts, grouped: bool = False, with_sources: bool = True) -> EvalScores:
+def aggregate(counts, grouped: bool = False) -> EvalScores:
     """Merge per-report counts into EvalScores.
 
     Micro pools raw tallies; macro averages F1 over types present in
@@ -290,7 +287,7 @@ def aggregate(counts, grouped: bool = False, with_sources: bool = True) -> EvalS
     for sub in by_source.values():
         _merge_into(scores.entity_types, sub.entity_types, False)
         _merge_into(scores.relation_kinds, sub.relation_kinds, False)
-    if with_sources and len(by_source) > 1:
+    if len(by_source) > 1:
         scores.per_source = {s: by_source[s] for s in sorted(by_source)}
     return scores
 

@@ -4,10 +4,11 @@ Candidate pairs are ordered entity pairs whose start positions lie
 within a token-distance cap.  Every pair feature is one-hot: the source
 label, the target label, the bucket of the signed token offset, the
 direction of that offset, and a constant.  The direction follows from
-the bucket, so a pair's scores over the three relation kinds and "none"
-depend only on (source label, target label, bucket).  Decoding looks
-each pair up in a table over those triples that holds the kept kind:
-the non-none argmax, if it passes the schema signature filter.
+the bucket, so a pair's features depend only on its cell, the triple
+(source label, target label, bucket).  One table holds the features of
+every cell.  Training reads its rows by each pair's cell index, and
+decoding looks each pair up in a table over the cells that holds the
+kept kind: the non-none argmax, if it passes the schema signature filter.
 
 ``candidate_pairs`` and ``predict_relations`` take one report's
 entities or a sequence of reports.  Pairs are enumerated with array
@@ -108,6 +109,16 @@ def _one_hot(src_label, dst_label, bucket) -> np.ndarray:
     return phi
 
 
+# The (source label, target label, bucket) cells; a cell index is a
+# position in this shape, raveled.
+_CELL_SHAPE = (len(ENTITY_LABELS), len(ENTITY_LABELS), len(DISTANCE_BUCKETS))
+
+
+def _cell_features() -> np.ndarray:
+    """The features of every cell, one row per cell index."""
+    return _one_hot(*np.indices(_CELL_SHAPE).reshape(3, -1))
+
+
 def _ordered(entities) -> list[Entity]:
     items = entities.values() if isinstance(entities, dict) else list(entities)
     return sorted(items, key=lambda e: (e.start_ix, e.end_ix, e.id))
@@ -185,7 +196,7 @@ def candidate_pairs(entities, cap: int = DEFAULT_DISTANCE_CAP):
 
 
 def _training_pairs(ds: Dataset, cap: int):
-    """Dense features and gold output kind of every candidate pair."""
+    """Cell index and gold output kind of every candidate pair."""
     pairs = []
     gold = []
     per_report = candidate_pairs([r.entities for r in ds.reports], cap)
@@ -200,7 +211,8 @@ def _training_pairs(ds: Dataset, cap: int):
     src = np.array([_LABEL_POS[s.label] for s, _ in pairs])
     dst = np.array([_LABEL_POS[d.label] for _, d in pairs])
     offsets = np.array([d.start_ix - s.start_ix for s, d in pairs])
-    return _one_hot(src, dst, _bucket(offsets)), np.array(gold, dtype=int)
+    cells = np.ravel_multi_index((src, dst, _bucket(offsets)), _CELL_SHAPE)
+    return cells, np.array(gold, dtype=int)
 
 
 def train_relation_scorer(
@@ -216,7 +228,8 @@ def train_relation_scorer(
 
     cfg = cfg or TrainConfig()
     cfg.validate()
-    phi, gold = _training_pairs(ds, cap)
+    cells, gold = _training_pairs(ds, cap)
+    table = _cell_features()
     n = len(gold)
     weights = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
     rng = np.random.default_rng(cfg.seed)
@@ -226,7 +239,7 @@ def train_relation_scorer(
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x = phi[batch]
+            x = table[cells[batch]]
             scores = x @ weights
             scores -= scores.max(axis=1, keepdims=True)
             probs = np.exp(scores)
@@ -240,9 +253,8 @@ def train_relation_scorer(
 def _decode_table(params: RelationScorerParams) -> np.ndarray:
     """Kept kind index per (source label, target label, bucket); -1 where
     the argmax is "none" or fails the schema signature."""
-    shape = (len(ENTITY_LABELS), len(ENTITY_LABELS), len(DISTANCE_BUCKETS))
-    src, dst, bucket = (axis.ravel() for axis in np.indices(shape))
-    picks = np.argmax(_one_hot(src, dst, bucket) @ params.weights, axis=1)
+    src, dst, _ = np.indices(_CELL_SHAPE).reshape(3, -1)
+    picks = np.argmax(_cell_features() @ params.weights, axis=1)
     allowed = np.array(
         [
             [
@@ -252,7 +264,7 @@ def _decode_table(params: RelationScorerParams) -> np.ndarray:
             for kind in params.kinds
         ]
     )
-    return np.where(allowed[picks, src, dst], picks, -1).reshape(shape)
+    return np.where(allowed[picks, src, dst], picks, -1).reshape(_CELL_SHAPE)
 
 
 def predict_relations(params: RelationScorerParams, entities):

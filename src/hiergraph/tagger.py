@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus import Dataset, to_token_labeling
 from .errors import (
+    DuplicateNode,
     EmptyDataset,
     LengthMismatch,
     TaxonomyMismatch,
@@ -269,7 +270,10 @@ def train_two_phase(
 
 def predict_tags(params: TaggerParams, tree: TaxonomyTree, tokens) -> list[str]:
     """Per-token label names (including the non-entity class)."""
-    expected = tag_tree_for(tree).leaves
+    # The leaves of tag_tree_for(tree), without building that tree.
+    if NONE_LABEL in tree:
+        raise DuplicateNode(f"node {NONE_LABEL!r} already exists")
+    expected = tree.leaves + (NONE_LABEL,)
     if params.labels != expected:
         raise TaxonomyMismatch(
             "model labels do not match the supplied taxonomy "

@@ -84,11 +84,8 @@ class TaxonomyTree:
     ancestors: np.ndarray = field(repr=False)
     path_masks: np.ndarray = field(repr=False)
     node_depths: np.ndarray = field(repr=False)
-    _leaf_indices: dict[str, tuple[int, ...]] = field(repr=False, default_factory=dict)
-    # Trees made by with_extra_leaf, keyed by (name, parent).
-    _extended: dict[tuple[str, str], "TaxonomyTree"] = field(
-        repr=False, default_factory=dict
-    )
+    # Node name -> its column of ``ancestors``; leaf i is column i.
+    _column: dict[str, int] = field(repr=False)
 
     # -- construction --------------------------------------------------------
 
@@ -168,29 +165,12 @@ class TaxonomyTree:
                 depth=depth_of[name],
             )
 
-        # Leaf order = declaration order of the config (first mention as a
-        # child); this order is persisted with any trained parameters.
-        declared = []
-        for _, child in edges:
-            if child not in declared:
-                declared.append(child)
-        leaves = tuple(n for n in declared if nodes[n].is_leaf)
+        # Leaf order = declaration order of the config (each node is a
+        # child in exactly one edge); this order is persisted with any
+        # trained parameters.
+        leaves = tuple(child for _, child in edges if nodes[child].is_leaf)
         if len(leaves) < 2:
             raise TaxonomyConfigError("a taxonomy needs at least 2 leaves")
-
-        leaf_pos = {n: i for i, n in enumerate(leaves)}
-        leaf_indices: dict[str, tuple[int, ...]] = {}
-
-        def collect(name: str) -> tuple[int, ...]:
-            node = nodes[name]
-            if node.is_leaf:
-                idx: tuple[int, ...] = (leaf_pos[name],)
-            else:
-                idx = tuple(i for c in node.children for i in collect(c))
-            leaf_indices[name] = idx
-            return idx
-
-        collect(ROOT_NAME)
 
         mass_nodes = leaves + tuple(n for n in order if not nodes[n].is_leaf)
         column = {n: k for k, n in enumerate(mass_nodes)}
@@ -210,11 +190,11 @@ class TaxonomyTree:
             leaves=leaves,
             max_depth=max(depth_of.values()),
             edges=tuple(edges),
-            _leaf_indices=leaf_indices,
             mass_nodes=mass_nodes,
             ancestors=ancestors,
             path_masks=path_masks,
             node_depths=node_depths,
+            _column=column,
         )
 
     # -- queries -------------------------------------------------------------
@@ -242,15 +222,15 @@ class TaxonomyTree:
         return False
 
     def subtree_leaf_indices(self, name: str) -> tuple[int, ...]:
-        """Logit indices of the leaves below (or at) ``name``."""
+        """Logit indices of the leaves below (or at) ``name``, ascending."""
         self.node(name)
-        return self._leaf_indices[name]
+        return tuple(np.flatnonzero(self.ancestors[:, self._column[name]]).tolist())
 
     def leaf_index(self, name: str) -> int:
         node = self.node(name)
         if not node.is_leaf:
             raise NotALeaf(f"{name!r} is an internal node")
-        return self._leaf_indices[name][0]
+        return self._column[name]
 
     def correct_node_at_depth(self, gold_leaf: str, d: int) -> str | None:
         """The node on the root-to-gold path at depth ``d``; None past the leaf."""
@@ -288,17 +268,11 @@ class TaxonomyTree:
         """A new tree with one more leaf appended under ``parent``.
 
         Used to attach the non-entity class under the root for tagging;
-        the appended leaf takes the last logit index.  The new tree is
-        built once per (name, parent) and shared by later calls.
+        the appended leaf takes the last logit index.
         """
         if name in self.nodes:
             raise DuplicateNode(f"node {name!r} already exists")
-        key = (name, parent)
-        if key not in self._extended:
-            self._extended[key] = TaxonomyTree.from_edges(
-                list(self.edges) + [(parent, name)]
-            )
-        return self._extended[key]
+        return TaxonomyTree.from_edges(list(self.edges) + [(parent, name)])
 
 
 def build_tree(config_text: str) -> TaxonomyTree:

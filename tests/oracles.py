@@ -87,6 +87,25 @@ def path_masses(tree, dist):
     return masses
 
 
+def reference_subtree_leaf_indices(tree):
+    """Node name -> logit indices of its leaves in depth-first child
+    order, as ``TaxonomyTree`` collected them before it read them from
+    its ``ancestors`` matrix."""
+    position = {leaf: i for i, leaf in enumerate(tree.leaves)}
+    indices = {}
+
+    def collect(name):
+        node = tree.nodes[name]
+        if node.is_leaf:
+            indices[name] = (position[name],)
+        else:
+            indices[name] = tuple(i for c in node.children for i in collect(c))
+        return indices[name]
+
+    collect("ROOT")
+    return indices
+
+
 def _best_assignment(pred_items, gold_items, same):
     """Maximum one-to-one match count by exhaustive search."""
     best = 0

@@ -4,14 +4,18 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiergraph import load_dataset, save_dataset
+from hiergraph import Dataset, load_dataset, save_dataset
 from hiergraph.cli import main
 from hiergraph.synth import make_separable_corpus
 
@@ -202,6 +206,23 @@ class TestTrain:
     def test_missing_output_flag(self, work, capsys):
         assert main(["train", str(work["data"])]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_no_candidate_pairs_no_scorer(self, tmp_path, capsys):
+        # At most one entity per report leaves the scorer no pairs.
+        reports = [
+            replace(r, entities=dict(list(r.entities.items())[: i % 2]), relations=())
+            for i, r in enumerate(make_separable_corpus(n_reports=6, seed=0).reports)
+        ]
+        data, model, pred = tmp_path / "d.json", tmp_path / "m.json", tmp_path / "p.json"
+        save_dataset(Dataset(reports), str(data))
+        args = ["--phase1-epochs", "2", "--phase2-epochs", "1", "-o", str(model)]
+        assert main(["train", str(data), *args]) == 0
+        assert json.loads(model.read_text())["relations"] is None
+        assert main(["predict", str(model), str(data), "-o", str(pred)]) == 0
+        predicted = load_dataset(str(pred)).reports
+        assert len(predicted) == 6
+        assert all(r.relations == () for r in predicted)
+        capsys.readouterr()
 
 
 class TestPredictEval:
@@ -507,3 +528,33 @@ def test_collector_state_restored(command, small_path, capsys):
     assert main(argv) == 0
     assert gc.isenabled()
     capsys.readouterr()
+
+
+def test_traced_benchmark_hits_every_target(tmp_path):
+    """``perfbench/tracer.py`` over train, predict and eval calls each
+    function it wraps at least once, as the traced benchmark requires."""
+    root = Path(__file__).resolve().parents[1]
+    test = make_separable_corpus(n_reports=4, seed=1, split="test").reports
+    reports = make_separable_corpus(n_reports=8, seed=0).reports + [
+        replace(r, doc_id=f"test-{r.doc_id}") for r in test
+    ]
+    data = tmp_path / "data.json"
+    save_dataset(Dataset(reports), str(data))
+    model, pred = tmp_path / "model.json", tmp_path / "pred.json"
+    steps = {
+        "train": ["train", data, "--splits", "train", "--phase1-epochs", "2",
+                  "--phase2-epochs", "1", "-o", model],
+        "predict": ["predict", model, data, "--splits", "test", "-o", pred],
+        "eval": ["eval", data, pred, "--splits", "test", "--json", "-o", tmp_path / "eval.json"],
+    }
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    calls = {}
+    for step, argv in steps.items():
+        spans = tmp_path / f"{step}.spans.json"
+        tracer = [sys.executable, root / "perfbench" / "tracer.py", spans, "--"]
+        done = subprocess.run(tracer + argv, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        for name, n in json.loads(spans.read_text())["calls"].items():
+            calls[name] = calls.get(name, 0) + n
+    assert "taxonomy.TaxonomyTree.from_edges" in calls
+    assert [name for name, n in calls.items() if n == 0] == []

@@ -64,6 +64,15 @@ class TestDataset:
         assert small_ds.partitions["validation"] == ["mimic-2"]
         assert small_ds.partitions["test"] == ["mimic-3", "chex-1", "chex-2"]
 
+    def test_partitions_follow_reports(self, small_ds):
+        assert small_ds.subset("test").partitions == {
+            "train": [],
+            "validation": [],
+            "test": ["mimic-3", "chex-1", "chex-2"],
+        }
+        with pytest.raises(AttributeError):
+            small_ds.partitions = {}
+
     def test_by_id_and_subset(self, small_ds):
         by_id = small_ds.by_id()
         assert by_id["chex-2"].source == "CheXpert"

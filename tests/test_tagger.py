@@ -5,6 +5,7 @@ import pytest
 
 from hiergraph import (
     Dataset,
+    DuplicateNode,
     EmptyDataset,
     LengthMismatch,
     OverlapConflict,
@@ -20,6 +21,7 @@ from hiergraph import (
     train_two_phase,
 )
 from hiergraph.synth import make_separable_corpus
+from hiergraph.taxonomy import SHIPPED_CONFIGS, load_taxonomy
 
 from oracles import reference_train
 
@@ -239,6 +241,28 @@ class TestPredict:
         params = train_two_phase(ds, tree3, TrainConfig(1, 1, seed=0))
         with pytest.raises(TaxonomyMismatch):
             predict_tags(params, tree1, ["hi"])
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_tag_labels_on_shipped_trees(self, config):
+        tree = load_taxonomy(config)
+        tag_tree = tag_tree_for(tree)
+        assert tag_tree.leaves == tree.leaves + ("NONE",)
+
+        def params(labels):
+            n = len(labels)
+            return TaggerParams({}, labels, 0, 1, np.zeros((1, 1)), np.zeros((1, n)), np.zeros(n))
+
+        assert predict_tags(params(tag_tree.leaves), tree, ["a", "b"]) == [tree.leaves[0]] * 2
+        for labels in (tree.leaves, ("NONE",) + tree.leaves, tag_tree.leaves[::-1]):
+            for tokens in ([], ["a"]):
+                with pytest.raises(TaxonomyMismatch):
+                    predict_tags(params(labels), tree, tokens)
+        # The tag tree already has the non-entity leaf.
+        for tokens in ([], ["a"]):
+            with pytest.raises(DuplicateNode):
+                predict_tags(params(tag_tree.leaves), tag_tree, tokens)
+        with pytest.raises(DuplicateNode):
+            tag_tree_for(tag_tree)
 
     def test_oov_tokens_still_tagged(self, tree3):
         ds = make_separable_corpus(n_reports=8, seed=7)

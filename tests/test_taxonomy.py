@@ -24,9 +24,11 @@ from hiergraph import (
     leaf_distribution,
     load_taxonomy,
     propagate,
+    tag_tree_for,
 )
+from hiergraph.taxonomy import SHIPPED_CONFIGS
 
-from oracles import path_masses
+from oracles import path_masses, reference_subtree_leaf_indices
 
 SMALL = """
 ROOT A
@@ -174,6 +176,29 @@ class TestQueries:
         assert tree3.subtree_leaf_indices("ROOT") == tuple(range(12))
         assert tree3.subtree_leaf_indices("CHAN-NC") == (4,)
 
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_leaf_indices_match_reference_on_shipped_trees(self, config):
+        tree = load_taxonomy(config)
+        for t in (tree, tag_tree_for(tree)):
+            expected = reference_subtree_leaf_indices(t)
+            assert {n: t.subtree_leaf_indices(n) for n in t.nodes} == expected
+            assert [t.leaf_index(n) for n in t.leaves] == list(range(len(t.leaves)))
+            for name in t.nodes:
+                if not t.nodes[name].is_leaf:
+                    with pytest.raises(NotALeaf):
+                        t.leaf_index(name)
+
+    def test_subtree_leaf_indices_in_logit_order(self):
+        # Y1 is declared before X1, though X comes first among A's children.
+        tree = build_tree("ROOT A\nA X\nA Y\nY Y1\nX X1\nROOT B\n")
+        assert tree.leaves == ("Y1", "X1", "B")
+        assert tree.subtree_leaf_indices("A") == (0, 1)
+        assert tree.subtree_leaf_indices("ROOT") == (0, 1, 2)
+        assert tree.subtree_leaf_indices("X") == (1,)
+        assert reference_subtree_leaf_indices(tree)["A"] == (1, 0)
+        with pytest.raises(UnknownNode):
+            tree.subtree_leaf_indices("Z")
+
     def test_root_path(self, tree3):
         assert tree3.root_path("CHAN-CON-IMP") == (
             "ROOT",
@@ -215,7 +240,6 @@ class TestQueries:
         ext = tree3.with_extra_leaf("NONE")
         assert ext.leaves == tree3.leaves + ("NONE",)
         assert ext.depth_of("NONE") == 1
-        assert tree3.with_extra_leaf("NONE") is ext
         with pytest.raises(DuplicateNode):
             ext.with_extra_leaf("NONE")
 
