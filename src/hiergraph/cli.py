@@ -338,7 +338,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lr-phase1", type=float, default=0.1)
     p.add_argument("--lr-phase2", type=float, default=0.02)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=8)
+    p.add_argument(
+        "--batch-size", type=int, default=8,
+        help="reports per tagger minibatch; the relation scorer trains full-batch",
+    )
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--distance-cap", type=int, default=20)
     p.add_argument("--splits", help="comma-separated splits (default train,validation)")

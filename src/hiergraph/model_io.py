@@ -8,6 +8,7 @@ configuration.  Loading against a different taxonomy is refused.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -18,8 +19,9 @@ from .errors import (
     LengthMismatch,
     ModelFormatError,
     TaxonomyMismatch,
+    TrainConfigError,
 )
-from .relations import RelationScorerParams
+from .relations import OUTPUT_KINDS, RelationScorerParams
 from .tagger import TaggerParams, TrainConfig
 from .taxonomy import TaxonomyTree
 
@@ -85,6 +87,29 @@ def _int(obj, name: str, low: int) -> int:
     if not _is_int(obj) or obj < low:
         raise ModelFormatError(f"field {name!r} must be an integer >= {low}")
     return obj
+
+
+def _train_config(obj) -> TrainConfig:
+    """A stored training configuration, checked field by field."""
+    known = {f.name: f for f in fields(TrainConfig)}
+    if not isinstance(obj, dict) or not set(obj) <= set(known):
+        raise ModelFormatError(
+            f"train_config must be an object with keys among {sorted(known)}"
+        )
+    for name, value in obj.items():
+        # Field types are annotation strings under postponed evaluation.
+        if known[name].type == "float":
+            ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+        else:
+            ok = _is_int(value)
+        if not ok:
+            raise ModelFormatError(f"train_config.{name} must be {known[name].type}")
+    cfg = TrainConfig(**obj)
+    try:
+        cfg.validate()
+    except TrainConfigError as exc:
+        raise ModelFormatError(f"train_config: {exc}") from exc
+    return cfg
 
 
 def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
@@ -166,16 +191,11 @@ def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
             )
     except LengthMismatch as exc:
         raise ModelFormatError(str(exc)) from exc
+    if rel_doc is not None and kinds != OUTPUT_KINDS:
+        raise ModelFormatError(f"relations.kinds must be {list(OUTPUT_KINDS)}")
 
-    train_config = None
     cfg_doc = doc.get("train_config")
-    if cfg_doc is not None:
-        known = {f.name for f in fields(TrainConfig)}
-        if not isinstance(cfg_doc, dict) or not set(cfg_doc) <= known:
-            raise ModelFormatError(
-                f"train_config must be an object with keys among {sorted(known)}"
-            )
-        train_config = TrainConfig(**cfg_doc)
+    train_config = None if cfg_doc is None else _train_config(cfg_doc)
 
     return LoadedModel(
         tree=embedded, tagger=tagger, relations=relations, train_config=train_config

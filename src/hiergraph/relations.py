@@ -6,7 +6,7 @@ label, the target label, the bucket of the signed token offset, the
 direction of that offset, and a constant.  The direction follows from
 the bucket, so a pair's features depend only on its cell, the triple
 (source label, target label, bucket).  One table holds the features of
-every cell.  Training reads its rows by each pair's cell index, and
+every cell.  Training tallies the pairs of each cell by gold kind, and
 decoding looks each pair up in a table over the cells that holds the
 kept kind: the non-none argmax, if it passes the schema signature filter.
 
@@ -95,28 +95,23 @@ def _bucket(offsets) -> np.ndarray:
     return np.searchsorted(_BUCKET_EDGES, offsets, side="right")
 
 
-def _one_hot(src_label, dst_label, bucket) -> np.ndarray:
-    """Dense (pairs x FEATURE_DIM) features of pairs given by their label
-    and bucket indices."""
-    n_labels = len(ENTITY_LABELS)
-    phi = np.zeros((len(bucket), FEATURE_DIM))
-    rows = np.arange(len(bucket))
-    phi[rows, src_label] = 1.0
-    phi[rows, n_labels + dst_label] = 1.0
-    phi[rows, 2 * n_labels + bucket] = 1.0
-    phi[:, -2] = _FORWARD[bucket]
-    phi[:, -1] = 1.0
-    return phi
-
-
 # The (source label, target label, bucket) cells; a cell index is a
 # position in this shape, raveled.
 _CELL_SHAPE = (len(ENTITY_LABELS), len(ENTITY_LABELS), len(DISTANCE_BUCKETS))
 
 
 def _cell_features() -> np.ndarray:
-    """The features of every cell, one row per cell index."""
-    return _one_hot(*np.indices(_CELL_SHAPE).reshape(3, -1))
+    """The one-hot features of every cell, one row per cell index."""
+    src, dst, bucket = np.indices(_CELL_SHAPE).reshape(3, -1)
+    n_labels = len(ENTITY_LABELS)
+    phi = np.zeros((len(bucket), FEATURE_DIM))
+    rows = np.arange(len(bucket))
+    phi[rows, src] = 1.0
+    phi[rows, n_labels + dst] = 1.0
+    phi[rows, 2 * n_labels + bucket] = 1.0
+    phi[:, -2] = _FORWARD[bucket]
+    phi[:, -1] = 1.0
+    return phi
 
 
 def _ordered(entities) -> list[Entity]:
@@ -196,9 +191,9 @@ def candidate_pairs(entities, cap: int = DEFAULT_DISTANCE_CAP):
 
 
 def _training_pairs(ds: Dataset, cap: int):
-    """Cell index and gold output kind of every candidate pair."""
-    pairs = []
-    gold = []
+    """Features of each cell holding a candidate pair, and each such
+    cell's share of all pairs per gold output kind (cells x kinds)."""
+    pairs, gold = [], []
     per_report = candidate_pairs([r.entities for r in ds.reports], cap)
     for report, report_pairs in zip(ds.reports, per_report):
         kind_of = {}
@@ -212,41 +207,46 @@ def _training_pairs(ds: Dataset, cap: int):
     dst = np.array([_LABEL_POS[d.label] for _, d in pairs])
     offsets = np.array([d.start_ix - s.start_ix for s, d in pairs])
     cells = np.ravel_multi_index((src, dst, _bucket(offsets)), _CELL_SHAPE)
-    return cells, np.array(gold, dtype=int)
+    k = len(OUTPUT_KINDS)
+    counts = np.bincount(cells * k + gold, minlength=np.prod(_CELL_SHAPE) * k).reshape(-1, k)
+    seen = counts.any(axis=1)
+    return _cell_features()[seen], counts[seen] / len(pairs)
+
+
+# Nesterov steps of relation training, fixed: the benchmark corpora reach
+# relation F1 1.0 on gold entities by step 75, so this leaves a 4x margin.
+_TRAIN_STEPS = 300
+
+
+def _share_loss(weights, x, share, l2: float):
+    """Mean pair cross-entropy plus ``l2 / 2 * |weights|^2``, and its
+    gradient, from the cell features ``x`` and pair shares ``share``."""
+    scores = x @ weights
+    scores -= scores.max(axis=1, keepdims=True)
+    log_p = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+    loss = -(share * log_p).sum() + 0.5 * l2 * (weights**2).sum()
+    resid = share.sum(axis=1, keepdims=True) * np.exp(log_p) - share
+    return loss, x.T @ resid + l2 * weights
 
 
 def train_relation_scorer(
     ds: Dataset, cfg=None, cap: int = DEFAULT_DISTANCE_CAP
 ) -> RelationScorerParams:
-    """Cross-entropy training of the pair scorer.
-
-    Runs for the combined epoch budget of the supplied TrainConfig at
-    its phase-1 learning rate; the 4-way output has no hierarchy to
-    phase over.
-    """
+    """Cross-entropy training of the pair scorer by ``_TRAIN_STEPS``
+    full-batch Nesterov steps on per-cell pair counts.  The step inverts
+    Böhning's curvature bound ``0.5 * max |x|^2 + l2``, so the loss cannot
+    diverge.  Of ``cfg`` only ``l2`` is read: the weights depend on the
+    training pairs, ``cap`` and ``l2`` alone."""
     from .tagger import TrainConfig
 
     cfg = cfg or TrainConfig()
     cfg.validate()
-    cells, gold = _training_pairs(ds, cap)
-    table = _cell_features()
-    n = len(gold)
-    weights = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
-    rng = np.random.default_rng(cfg.seed)
-    epochs = cfg.phase1_epochs + cfg.phase2_epochs
-    lr = cfg.lr_phase1
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            x = table[cells[batch]]
-            scores = x @ weights
-            scores -= scores.max(axis=1, keepdims=True)
-            probs = np.exp(scores)
-            probs /= probs.sum(axis=1, keepdims=True)
-            probs[np.arange(len(batch)), gold[batch]] -= 1.0
-            grad = x.T @ probs / len(batch)
-            weights -= lr * (grad + cfg.l2 * weights)
+    x, share = _training_pairs(ds, cap)
+    step = 1.0 / (0.5 * (x**2).sum(axis=1).max() + cfg.l2)
+    weights = prev = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
+    for k in range(_TRAIN_STEPS):
+        ahead = weights + k / (k + 3) * (weights - prev)
+        prev, weights = weights, ahead - step * _share_loss(ahead, x, share, cfg.l2)[1]
     return RelationScorerParams(weights=weights, distance_cap=cap)
 
 

@@ -317,8 +317,8 @@ def reference_relations(params, entities):
     return relations
 
 
-def reference_train_relations(ds, cfg, cap):
-    """``train_relation_scorer`` on dense per-pair feature vectors."""
+def reference_pair_features(ds, cap):
+    """Dense features and gold output kind index of every candidate pair."""
     features = []
     gold = []
     for report in ds.reports:
@@ -330,7 +330,28 @@ def reference_train_relations(ds, cfg, cap):
             gold.append(OUTPUT_KINDS.index(kind_of.get((src.id, dst.id), NONE_KIND)))
     if not features:
         raise EmptyDataset("no candidate entity pairs to train on")
-    phi, gold = np.array(features), np.array(gold, dtype=int)
+    return np.array(features), np.array(gold, dtype=int)
+
+
+def reference_pair_loss(phi, gold, weights, l2):
+    """Mean per-pair cross-entropy plus ``l2 / 2 * |weights|^2``, and its
+    gradient, summed pair by pair."""
+    loss = 0.5 * l2 * (weights**2).sum()
+    grad = l2 * weights
+    for x, kind in zip(phi, gold):
+        scores = x @ weights
+        log_p = scores - scores.max() - np.log(np.exp(scores - scores.max()).sum())
+        loss -= log_p[kind] / len(gold)
+        resid = np.exp(log_p)
+        resid[kind] -= 1.0
+        grad = grad + np.outer(x, resid) / len(gold)
+    return loss, grad
+
+
+def reference_train_relations(ds, cfg, cap):
+    """Minibatch SGD on dense per-pair features, at the phase-1 rate for
+    both epoch budgets: a baseline for the relation scorer's quality."""
+    phi, gold = reference_pair_features(ds, cap)
     weights = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
     rng = np.random.default_rng(cfg.seed)
     for _ in range(cfg.phase1_epochs + cfg.phase2_epochs):

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit codes."""
 
+import copy
 import gc
 import io
 import json
@@ -354,6 +355,27 @@ class TestMalformedModel:
             d["taxonomy_edges"][0].append("EXTRA")
         assert "taxonomy_edges" in self._predict(work, tmp_path, capsys, edit)
 
+    def test_ill_typed_train_config(self, work, tmp_path, capsys):
+        for key, value in (
+            ("phase1_epochs", "x"), ("batch_size", True), ("seed", 1.0),
+            ("l2", None), ("lr_phase1", "0.1"), ("lr_phase2", float("nan")),
+        ):
+            def edit(d, key=key, value=value):
+                d["train_config"][key] = value
+            assert f"train_config.{key}" in self._predict(work, tmp_path, capsys, edit)
+
+    def test_invalid_train_config(self, work, tmp_path, capsys):
+        for key, value in (("batch_size", 0), ("l2", -1), ("lr_phase2", 5)):
+            def edit(d, key=key, value=value):
+                d["train_config"][key] = value
+            assert "train_config" in self._predict(work, tmp_path, capsys, edit)
+
+    def test_relation_kinds(self, work, tmp_path, capsys):
+        for kinds in ([1, 2, 3, 4], ["none", "modify", "located_at", "suggestive_of"], "abcd"):
+            def edit(d, kinds=kinds):
+                d["relations"]["kinds"] = kinds
+            assert "relations.kinds" in self._predict(work, tmp_path, capsys, edit)
+
 
 class TestNotUtf8:
     """Input files that are not UTF-8 exit 2 with a one-line error."""
@@ -514,6 +536,56 @@ class TestExitCodeFuzz:
                 assert code in (0, 1, 2), (argv, err.getvalue())
                 assert "Traceback" not in err.getvalue()
                 assert gc.isenabled()
+
+
+# The objects of a model file whose keys the fuzz deletes or replaces;
+# None is the top level.
+MODEL_SECTIONS = (None, "tagger", "relations", "train_config")
+
+
+@st.composite
+def model_files(draw, clean: dict):
+    """A mutated, truncated or non-UTF-8 copy of a model file, as bytes."""
+    doc = json.loads(json.dumps(clean))
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(MODEL_SECTIONS))
+        section = doc if name is None else doc.get(name)
+        if not isinstance(section, dict) or not section:
+            continue
+        key = draw(st.sampled_from(sorted(section)))
+        junk = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        how = draw(st.integers(0, 3))
+        if how == 0:
+            del section[key]
+        elif how == 1 and isinstance(section[key], list) and section[key]:
+            section[key][draw(st.integers(0, len(section[key]) - 1))] = junk
+        else:
+            section[key] = junk
+    data = json.dumps(doc).encode()
+    damage = draw(st.integers(0, 5))
+    if damage == 0:
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    elif damage == 1:
+        data = b"\xff\xfe" + data
+    return data
+
+
+class TestModelExitCodeFuzz:
+    """Damaged model files make predict exit 0, 1 or 2, never crash."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_predict(self, work, data):
+        model = data.draw(model_files(json.loads(work["model"].read_text())))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, pred = os.path.join(tmp, "model.json"), os.path.join(tmp, "pred.json")
+            with open(path, "wb") as fh:
+                fh.write(model)
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["predict", path, str(work["data"]), "-o", pred])
+            assert code in (0, 1, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("command", ["validate", "stats", "eval"])

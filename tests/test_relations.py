@@ -23,14 +23,19 @@ from hiergraph.relations import (
     FEATURE_DIM,
     NONE_KIND,
     OUTPUT_KINDS,
+    _CELL_SHAPE,
     _bucket,
-    _one_hot,
+    _cell_features,
+    _share_loss,
+    _training_pairs,
 )
 from hiergraph.schema import ENTITY_LABELS, Entity
 from hiergraph.synth import make_random_corpus, make_separable_corpus
 from hiergraph.tagger import TrainConfig
 from oracles import (
     pair_features,
+    reference_pair_features,
+    reference_pair_loss,
     reference_pairs,
     reference_relations,
     reference_train_relations,
@@ -43,12 +48,24 @@ def ent(eid, label, start, end=None):
 
 
 def features(src, dst):
-    """The one-hot feature row of one pair, built from its indices."""
-    return _one_hot(
-        np.array([ENTITY_LABELS.index(src.label)]),
-        np.array([ENTITY_LABELS.index(dst.label)]),
-        _bucket([dst.start_ix - src.start_ix]),
-    )[0]
+    """The one-hot feature row of one pair, read from the cell table."""
+    cell = (
+        ENTITY_LABELS.index(src.label),
+        ENTITY_LABELS.index(dst.label),
+        _bucket(dst.start_ix - src.start_ix),
+    )
+    return _cell_features()[np.ravel_multi_index(cell, _CELL_SHAPE)]
+
+
+def relation_f1(params, ds):
+    """Micro F1 of the relations decoded over each report's gold entities."""
+    hits = predicted = gold = 0
+    for report in ds.reports:
+        got, want = set(predict_relations(params, report.entities)), set(report.relations)
+        hits += len(got & want)
+        predicted += len(got)
+        gold += len(want)
+    return 2 * hits / (predicted + gold)
 
 
 class TestFeatures:
@@ -167,6 +184,13 @@ class TestCandidates:
         assert candidate_pairs([[]]) == [[]]
 
 
+CORPORA = [
+    make_separable_corpus(n_reports=12, seed=3),
+    make_random_corpus(n_reports=40, seed=5, max_entities=6),
+]
+CORPUS_IDS = ["separable", "random"]
+
+
 class TestTraining:
     def test_recovers_separable_relations(self):
         ds = make_separable_corpus(n_reports=48, seed=0)
@@ -214,19 +238,43 @@ class TestTraining:
         params = train_relation_scorer(ds, TrainConfig(1, 1), cap=7)
         assert params.distance_cap == 7
 
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    @pytest.mark.parametrize("ds", CORPORA, ids=CORPUS_IDS)
+    def test_share_loss_matches_per_pair_loss(self, ds, l2):
+        x, share = _training_pairs(ds, 7)
+        weights = np.random.default_rng(11).normal(size=(FEATURE_DIM, len(OUTPUT_KINDS)))
+        loss, grad = _share_loss(weights, x, share, l2)
+        want_loss, want_grad = reference_pair_loss(*reference_pair_features(ds, 7), weights, l2)
+        assert abs(loss - want_loss) <= 1e-12
+        np.testing.assert_allclose(grad, want_grad, rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize(
-        "ds",
-        [
-            make_separable_corpus(n_reports=12, seed=3),
-            make_random_corpus(n_reports=40, seed=5, max_entities=6),
-        ],
-        ids=["separable", "random"],
+        "cfg",
+        [TrainConfig(seed=5), TrainConfig(2, 1, seed=5, batch_size=3, l2=0.01)],
+        ids=["defaults", "short-l2"],
     )
-    def test_matches_dense_reference(self, ds):
-        cfg = TrainConfig(2, 1, seed=5, batch_size=3, l2=0.01)
+    @pytest.mark.parametrize("ds", CORPORA, ids=CORPUS_IDS)
+    def test_at_least_as_good_as_sgd_reference(self, ds, cfg):
         got = train_relation_scorer(ds, cfg, cap=7)
         want = reference_train_relations(ds, cfg, 7)
-        assert np.array_equal(got.weights, want.weights)
+        assert relation_f1(got, ds) >= relation_f1(want, ds)
+        x, share = _training_pairs(ds, 7)
+        loss = _share_loss(got.weights, x, share, cfg.l2)[0]
+        assert loss <= _share_loss(want.weights, x, share, cfg.l2)[0]
+
+    def test_weights_ignore_tagger_settings(self):
+        ds = make_random_corpus(n_reports=40, seed=5, max_entities=6)
+        configs = [
+            TrainConfig(l2=0.01),
+            TrainConfig(l2=0.01, seed=9),
+            TrainConfig(l2=0.01, batch_size=1),
+            TrainConfig(0, 0, l2=0.01),
+            TrainConfig(50, 7, l2=0.01),
+            TrainConfig(lr_phase1=5.0, lr_phase2=0.001, l2=0.01),
+        ]
+        base = train_relation_scorer(ds, configs[0], cap=7).weights
+        for cfg in configs[1:]:
+            assert np.array_equal(train_relation_scorer(ds, cfg, cap=7).weights, base), cfg
 
     def test_weight_shape_validated(self):
         with pytest.raises(LengthMismatch):
