@@ -189,7 +189,7 @@ def _cmd_train(args) -> int:
         # With the tagger trained on the same reports and config, the only
         # error left to the scorer is having no candidate pairs.
         try:
-            scorer = train_relation_scorer(subset, cfg, cap=args.distance_cap)
+            scorer = train_relation_scorer(subset, cfg.l2, cap=args.distance_cap)
         except EmptyDataset:
             scorer = None
 

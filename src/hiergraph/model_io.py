@@ -22,6 +22,7 @@ from .errors import (
     TrainConfigError,
 )
 from .relations import OUTPUT_KINDS, RelationScorerParams
+from .schema import NONE_LABEL
 from .tagger import TaggerParams, TrainConfig
 from .taxonomy import TaxonomyTree
 
@@ -70,7 +71,7 @@ def save_model(
         if relations is None
         else {
             "weights": relations.weights.tolist(),
-            "kinds": list(relations.kinds),
+            "kinds": list(OUTPUT_KINDS),
             "distance_cap": relations.distance_cap,
         },
         "train_config": None if train_config is None else asdict(train_config),
@@ -143,7 +144,8 @@ def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
         rel_doc = doc.get("relations")
         if rel_doc is not None:
             rel_weights = _array(rel_doc["weights"], "relations.weights")
-            kinds = tuple(rel_doc["kinds"])
+            if tuple(rel_doc["kinds"]) != OUTPUT_KINDS:
+                raise ModelFormatError(f"relations.kinds must be {list(OUTPUT_KINDS)}")
             cap = _int(rel_doc["distance_cap"], "relations.distance_cap", 0)
     except (KeyError, TypeError) as exc:
         raise ModelFormatError(f"{path}: missing or malformed field: {exc}") from exc
@@ -163,6 +165,8 @@ def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
                 f"({stored_hash[:12]} vs {tree.config_hash[:12]})"
             )
         embedded = tree
+    if labels != embedded.leaves + (NONE_LABEL,):
+        raise ModelFormatError(f"tagger.labels must be the taxonomy leaves, then {NONE_LABEL!r}")
 
     if embeddings.ndim != 2 or embeddings.shape[1] != embed_dim or not len(embeddings):
         raise ModelFormatError(
@@ -171,9 +175,7 @@ def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
     if not isinstance(vocab, dict) or not all(
         _is_int(i) and 1 <= i < len(embeddings) for i in vocab.values()
     ):
-        raise ModelFormatError(
-            f"vocab ids must be integers in 1..{len(embeddings) - 1}"
-        )
+        raise ModelFormatError(f"vocab ids must be integers in 1..{len(embeddings) - 1}")
     try:
         tagger = TaggerParams(
             vocab=vocab,
@@ -186,13 +188,9 @@ def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
         )
         relations = None
         if rel_doc is not None:
-            relations = RelationScorerParams(
-                weights=rel_weights, kinds=kinds, distance_cap=cap
-            )
+            relations = RelationScorerParams(weights=rel_weights, distance_cap=cap)
     except LengthMismatch as exc:
         raise ModelFormatError(str(exc)) from exc
-    if rel_doc is not None and kinds != OUTPUT_KINDS:
-        raise ModelFormatError(f"relations.kinds must be {list(OUTPUT_KINDS)}")
 
     cfg_doc = doc.get("train_config")
     train_config = None if cfg_doc is None else _train_config(cfg_doc)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Dataset
-from .errors import EmptyDataset, LengthMismatch
+from .errors import EmptyDataset, LengthMismatch, TrainConfigError
 from .schema import (
     ENTITY_LABELS,
     RELATION_KINDS,
@@ -79,14 +79,13 @@ class RelationScorerParams:
     """Weights over pair features, one column per output kind."""
 
     weights: np.ndarray
-    kinds: tuple[str, ...] = OUTPUT_KINDS
     distance_cap: int = DEFAULT_DISTANCE_CAP
 
     def __post_init__(self):
-        if self.weights.shape != (FEATURE_DIM, len(self.kinds)):
+        if self.weights.shape != (FEATURE_DIM, len(OUTPUT_KINDS)):
             raise LengthMismatch(
                 f"weights shape {self.weights.shape} != "
-                f"({FEATURE_DIM}, {len(self.kinds)})"
+                f"({FEATURE_DIM}, {len(OUTPUT_KINDS)})"
             )
 
 
@@ -230,23 +229,21 @@ def _share_loss(weights, x, share, l2: float):
 
 
 def train_relation_scorer(
-    ds: Dataset, cfg=None, cap: int = DEFAULT_DISTANCE_CAP
+    ds: Dataset, l2: float = 0.0, cap: int = DEFAULT_DISTANCE_CAP
 ) -> RelationScorerParams:
-    """Cross-entropy training of the pair scorer by ``_TRAIN_STEPS``
-    full-batch Nesterov steps on per-cell pair counts.  The step inverts
-    Böhning's curvature bound ``0.5 * max |x|^2 + l2``, so the loss cannot
-    diverge.  Of ``cfg`` only ``l2`` is read: the weights depend on the
-    training pairs, ``cap`` and ``l2`` alone."""
-    from .tagger import TrainConfig
-
-    cfg = cfg or TrainConfig()
-    cfg.validate()
+    """Cross-entropy training of the pair scorer, with the penalty
+    ``l2 / 2 * |weights|^2``, by ``_TRAIN_STEPS`` full-batch Nesterov
+    steps on per-cell pair counts.  The step inverts Böhning's curvature
+    bound ``0.5 * max |x|^2 + l2``, so the loss cannot diverge.  The
+    weights depend on the training pairs, ``cap`` and ``l2`` alone."""
+    if not 0 <= l2 < np.inf:
+        raise TrainConfigError("l2 must be finite and >= 0")
     x, share = _training_pairs(ds, cap)
-    step = 1.0 / (0.5 * (x**2).sum(axis=1).max() + cfg.l2)
+    step = 1.0 / (0.5 * (x**2).sum(axis=1).max() + l2)
     weights = prev = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
     for k in range(_TRAIN_STEPS):
         ahead = weights + k / (k + 3) * (weights - prev)
-        prev, weights = weights, ahead - step * _share_loss(ahead, x, share, cfg.l2)[1]
+        prev, weights = weights, ahead - step * _share_loss(ahead, x, share, l2)[1]
     return RelationScorerParams(weights=weights, distance_cap=cap)
 
 
@@ -261,7 +258,7 @@ def _decode_table(params: RelationScorerParams) -> np.ndarray:
                 [kind != NONE_KIND and relation_signature_allowed(kind, s, d) for d in ENTITY_LABELS]
                 for s in ENTITY_LABELS
             ]
-            for kind in params.kinds
+            for kind in OUTPUT_KINDS
         ]
     )
     return np.where(allowed[picks, src, dst], picks, -1).reshape(_CELL_SHAPE)
@@ -282,7 +279,7 @@ def predict_relations(params: RelationScorerParams, entities):
         kind = table[labels[src], labels[dst], bucket]
         kept = np.flatnonzero(kind >= 0)
         relations = [
-            Relation(source_id=flat[i].id, target_id=flat[j].id, kind=params.kinds[k])
+            Relation(source_id=flat[i].id, target_id=flat[j].id, kind=OUTPUT_KINDS[k])
             for i, j, k in zip(src[kept].tolist(), dst[kept].tolist(), kind[kept].tolist())
         ]
         result += _split(relations, np.searchsorted(kept, ends).tolist())

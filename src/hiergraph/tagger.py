@@ -11,7 +11,6 @@ lower learning rate.  All updates use the analytic gradients from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,14 +44,14 @@ class TrainConfig:
     def validate(self) -> None:
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise TrainConfigError("epoch counts must be >= 0")
-        if self.lr_phase1 <= 0 or self.lr_phase2 <= 0:
-            raise TrainConfigError("learning rates must be positive")
+        if not (0 < self.lr_phase1 < np.inf and 0 < self.lr_phase2 < np.inf):
+            raise TrainConfigError("learning rates must be positive and finite")
         if self.lr_phase2 >= self.lr_phase1:
             raise TrainConfigError("phase two must use a smaller learning rate")
         if self.batch_size < 1:
             raise TrainConfigError("batch_size must be >= 1")
-        if self.l2 < 0:
-            raise TrainConfigError("l2 must be >= 0")
+        if not 0 <= self.l2 < np.inf:
+            raise TrainConfigError("l2 must be finite and >= 0")
         if self.window < 0:
             raise TrainConfigError("window must be >= 0")
         if self.embed_dim < 1:
@@ -107,28 +106,24 @@ def _window_features(params: TaggerParams, token_ids: np.ndarray) -> np.ndarray:
     return np.concatenate([padded[j : j + t] for j in range(2 * w + 1)], axis=1)
 
 
+def _embedding_grad(params: TaggerParams, d_phi: np.ndarray) -> np.ndarray:
+    """(T, E) gradient of a report's token embeddings from the (T, (2w+1)E)
+    gradient of its window features: the transpose of ``_window_features``."""
+    t = len(d_phi)
+    w, e = params.window, params.embed_dim
+    padded = np.zeros((t + 2 * w, e))
+    for j in range(2 * w + 1):
+        padded[j : j + t] += d_phi[:, j * e : (j + 1) * e]
+    return padded[w : w + t]
+
+
 def _token_ids(vocab: dict[str, int], tokens) -> np.ndarray:
     return np.array([vocab.get(tok, OOV_INDEX) for tok in tokens], dtype=int)
 
 
-class _Sample(NamedTuple):
-    """One report, ready for training.
-
-    ``slots`` indexes the rows of the (T * (2w+1), E) view of a window
-    feature gradient that fall inside the report, window slot by window
-    slot; ``rows`` is the embedding row each of them reads.
-    """
-
-    token_ids: np.ndarray
-    gold: np.ndarray
-    slots: np.ndarray
-    rows: np.ndarray
-
-
-def _prepare(ds: Dataset, tag_tree: TaxonomyTree, vocab: dict[str, int], window: int):
-    """Per-report token ids, gold leaf indices and window scatter indices."""
+def _prepare(ds: Dataset, tag_tree: TaxonomyTree, vocab: dict[str, int]):
+    """Per-report (token ids, gold leaf indices)."""
     leaf_pos = {name: i for i, name in enumerate(tag_tree.leaves)}
-    span = 2 * window + 1
     samples = []
     for report in ds.reports:
         labeling = to_token_labeling(report)
@@ -137,27 +132,15 @@ def _prepare(ds: Dataset, tag_tree: TaxonomyTree, vocab: dict[str, int], window:
                 raise TaxonomyMismatch(
                     f"{report.doc_id}: label {lab!r} is not a taxonomy leaf"
                 )
-        token_ids = _token_ids(vocab, report.tokens)
-        t = len(token_ids)
-        # src[j, i]: the position window slot j of token i reads.
-        src = np.arange(t) - window + np.arange(span)[:, None]
-        ok = (src >= 0) & (src < t)
-        slots = (np.arange(t) * span + np.arange(span)[:, None])[ok]
-        samples.append(
-            _Sample(
-                token_ids,
-                np.array([leaf_pos[lab] for lab in labeling.labels], dtype=np.intp),
-                slots,
-                token_ids[src[ok]],
-            )
-        )
+        gold = np.array([leaf_pos[lab] for lab in labeling.labels], dtype=np.intp)
+        samples.append((_token_ids(vocab, report.tokens), gold))
     return samples
 
 
 def _run_phase(
     params: TaggerParams,
     tag_tree: TaxonomyTree,
-    samples: list[_Sample],
+    samples: list[tuple[np.ndarray, np.ndarray]],
     loss_fn,
     epochs: int,
     lr: float,
@@ -169,9 +152,10 @@ def _run_phase(
     """Minibatch gradient descent with one loss call per minibatch.
 
     Window features are built report by report, so windows never cross
-    report boundaries; only the logits of a minibatch are stacked.
+    report boundaries; only the logits of a minibatch are stacked.  Each
+    report's feature gradient goes back through ``_embedding_grad``, so
+    the embedding update scatters one row per token.
     """
-    e = cfg.embed_dim
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(samples))
         loss_sum = 0.0
@@ -182,14 +166,14 @@ def _run_phase(
             batch = [
                 samples[s]
                 for s in order[start : start + cfg.batch_size]
-                if len(samples[s].token_ids)
+                if len(samples[s][0])
             ]
             if not batch:
                 continue
-            feats = [_window_features(params, s.token_ids) for s in batch]
+            feats = [_window_features(params, token_ids) for token_ids, _ in batch]
             logits = np.concatenate([phi @ params.weights for phi in feats])
             report = loss_fn(
-                tag_tree, logits + params.bias, np.concatenate([s.gold for s in batch])
+                tag_tree, logits + params.bias, np.concatenate([gold for _, gold in batch])
             )
             loss_sum += report.loss
             clamped += report.clamped
@@ -198,11 +182,10 @@ def _run_phase(
 
             d_emb = np.zeros_like(params.embeddings)
             d_w = np.zeros_like(params.weights)
-            ends = np.cumsum([len(s.token_ids) for s in batch])
-            for s, phi, g in zip(batch, feats, np.split(report.grad, ends[:-1])):
+            ends = np.cumsum([len(token_ids) for token_ids, _ in batch])
+            for (token_ids, _), phi, g in zip(batch, feats, np.split(report.grad, ends[:-1])):
                 d_w += phi.T @ g
-                d_phi = (g @ params.weights.T).reshape(-1, e)
-                np.add.at(d_emb, s.rows, d_phi[s.slots])
+                np.add.at(d_emb, token_ids, _embedding_grad(params, g @ params.weights.T))
             n = int(ends[-1])
             token_count += n
             params.weights -= lr * (d_w / n + cfg.l2 * params.weights)
@@ -241,8 +224,8 @@ def train_two_phase(
 
     tag_tree = tag_tree_for(tree)
     vocab = build_vocab(ds)
-    samples = _prepare(ds, tag_tree, vocab, cfg.window)
-    if not any(len(s.token_ids) for s in samples):
+    samples = _prepare(ds, tag_tree, vocab)
+    if not any(len(token_ids) for token_ids, _ in samples):
         raise EmptyDataset("no tokens to train on")
 
     rng = np.random.default_rng(cfg.seed)
@@ -257,14 +240,11 @@ def train_two_phase(
         bias=np.zeros(len(tag_tree.leaves)),
     )
 
-    _run_phase(
-        params, tag_tree, samples, conditional_hier_loss, cfg.phase1_epochs,
-        cfg.lr_phase1, cfg, rng, 1, on_epoch,
-    )
-    _run_phase(
-        params, tag_tree, samples, unconditional_loss, cfg.phase2_epochs,
-        cfg.lr_phase2, cfg, rng, 2, on_epoch,
-    )
+    for phase, loss_fn, epochs, lr in (
+        (1, conditional_hier_loss, cfg.phase1_epochs, cfg.lr_phase1),
+        (2, unconditional_loss, cfg.phase2_epochs, cfg.lr_phase2),
+    ):
+        _run_phase(params, tag_tree, samples, loss_fn, epochs, lr, cfg, rng, phase, on_epoch)
     return params
 
 

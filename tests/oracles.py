@@ -308,7 +308,7 @@ def reference_relations(params, entities):
     picks = np.argmax(phi @ params.weights, axis=1)
     relations = []
     for (src, dst), pick in zip(pairs, picks):
-        kind = params.kinds[int(pick)]
+        kind = OUTPUT_KINDS[int(pick)]
         if kind == NONE_KIND:
             continue
         if not relation_signature_allowed(kind, src.label, dst.label):

@@ -204,6 +204,32 @@ class TestTrain:
         assert code == 2
         assert "invalid:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lr-phase1", "--lr-phase2", "--l2"])
+    def test_non_finite_setting_rejected(self, work, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        out.mkdir()
+        for value in ("nan", "inf"):
+            # One update in all: without the check, the run ends and writes a model.
+            args = ["train", str(work["data"]), "--phase1-epochs", "1", "--phase2-epochs", "0",
+                    "--batch-size", "64", flag, value, "-o", str(out / "m.json")]
+            assert main(args) == 2
+            assert capsys.readouterr().err.startswith("invalid:")
+            assert list(out.iterdir()) == []
+
+    def test_weights_ignore_tagger_settings(self, work, tmp_path, capsys):
+        # The relation scorer reads only --l2 and --distance-cap.
+        runs = (
+            ["--phase1-epochs", "2", "--phase2-epochs", "1"],
+            ["--phase1-epochs", "0", "--phase2-epochs", "3", "--seed", "9", "--batch-size", "1",
+             "--lr-phase1", "5", "--lr-phase2", "0.001"],
+        )
+        weights = []
+        for i, flags in enumerate(runs):
+            out = tmp_path / f"m{i}.json"
+            assert main(["train", str(work["data"]), "--l2", "0.01", *flags, "-o", str(out)]) == 0
+            weights.append(json.loads(out.read_text())["relations"]["weights"])
+        assert weights[0] == weights[1]
+
     def test_missing_output_flag(self, work, capsys):
         assert main(["train", str(work["data"])]) == 1
         assert capsys.readouterr().err.startswith("error:")
@@ -369,6 +395,12 @@ class TestMalformedModel:
             def edit(d, key=key, value=value):
                 d["train_config"][key] = value
             assert "train_config" in self._predict(work, tmp_path, capsys, edit)
+
+    def test_tagger_labels(self, work, tmp_path, capsys):
+        for labels in (lambda ls: ls[::-1], lambda ls: ls[:-1], lambda ls: ls + ["X"]):
+            def edit(d, labels=labels):
+                d["tagger"]["labels"] = labels(d["tagger"]["labels"])
+            assert "tagger.labels" in self._predict(work, tmp_path, capsys, edit)
 
     def test_relation_kinds(self, work, tmp_path, capsys):
         for kinds in ([1, 2, 3, 4], ["none", "modify", "located_at", "suggestive_of"], "abcd"):

@@ -12,6 +12,7 @@ from hiergraph import (
     EmptyDataset,
     LengthMismatch,
     RelationScorerParams,
+    TrainConfigError,
     candidate_pairs,
     parse_report,
     predict_relations,
@@ -194,7 +195,7 @@ CORPUS_IDS = ["separable", "random"]
 class TestTraining:
     def test_recovers_separable_relations(self):
         ds = make_separable_corpus(n_reports=48, seed=0)
-        params = train_relation_scorer(ds, TrainConfig(seed=0))
+        params = train_relation_scorer(ds)
         for report in ds.reports:
             got = set(predict_relations(params, report.entities))
             want = set(report.relations)
@@ -202,13 +203,13 @@ class TestTraining:
 
     def test_deterministic(self):
         ds = make_separable_corpus(n_reports=16, seed=1)
-        a = train_relation_scorer(ds, TrainConfig(seed=4))
-        b = train_relation_scorer(ds, TrainConfig(seed=4))
+        a = train_relation_scorer(ds, 0.01)
+        b = train_relation_scorer(ds, 0.01)
         assert np.array_equal(a.weights, b.weights)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
-            train_relation_scorer(Dataset([]), TrainConfig())
+            train_relation_scorer(Dataset([]))
 
     def test_no_pairs(self):
         ds = Dataset(
@@ -231,11 +232,16 @@ class TestTraining:
             ]
         )
         with pytest.raises(EmptyDataset):
-            train_relation_scorer(ds, TrainConfig())
+            train_relation_scorer(ds)
+
+    @pytest.mark.parametrize("l2", [-0.01, float("nan"), float("inf")])
+    def test_l2_must_be_finite_and_non_negative(self, l2):
+        with pytest.raises(TrainConfigError):
+            train_relation_scorer(make_separable_corpus(n_reports=4, seed=2), l2)
 
     def test_cap_stored_in_params(self):
         ds = make_separable_corpus(n_reports=8, seed=2)
-        params = train_relation_scorer(ds, TrainConfig(1, 1), cap=7)
+        params = train_relation_scorer(ds, cap=7)
         assert params.distance_cap == 7
 
     @pytest.mark.parametrize("l2", [0.0, 0.01])
@@ -255,26 +261,12 @@ class TestTraining:
     )
     @pytest.mark.parametrize("ds", CORPORA, ids=CORPUS_IDS)
     def test_at_least_as_good_as_sgd_reference(self, ds, cfg):
-        got = train_relation_scorer(ds, cfg, cap=7)
+        got = train_relation_scorer(ds, cfg.l2, cap=7)
         want = reference_train_relations(ds, cfg, 7)
         assert relation_f1(got, ds) >= relation_f1(want, ds)
         x, share = _training_pairs(ds, 7)
         loss = _share_loss(got.weights, x, share, cfg.l2)[0]
         assert loss <= _share_loss(want.weights, x, share, cfg.l2)[0]
-
-    def test_weights_ignore_tagger_settings(self):
-        ds = make_random_corpus(n_reports=40, seed=5, max_entities=6)
-        configs = [
-            TrainConfig(l2=0.01),
-            TrainConfig(l2=0.01, seed=9),
-            TrainConfig(l2=0.01, batch_size=1),
-            TrainConfig(0, 0, l2=0.01),
-            TrainConfig(50, 7, l2=0.01),
-            TrainConfig(lr_phase1=5.0, lr_phase2=0.001, l2=0.01),
-        ]
-        base = train_relation_scorer(ds, configs[0], cap=7).weights
-        for cfg in configs[1:]:
-            assert np.array_equal(train_relation_scorer(ds, cfg, cap=7).weights, base), cfg
 
     def test_weight_shape_validated(self):
         with pytest.raises(LengthMismatch):

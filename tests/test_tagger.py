@@ -21,6 +21,7 @@ from hiergraph import (
     train_two_phase,
 )
 from hiergraph.synth import make_separable_corpus
+from hiergraph.tagger import _embedding_grad, _window_features
 from hiergraph.taxonomy import SHIPPED_CONFIGS, load_taxonomy
 
 from oracles import reference_train
@@ -73,6 +74,31 @@ class TestVocab:
         assert tag_tree.leaves[:-1] == tree3.leaves
         assert tag_tree.leaves[-1] == "NONE"
         assert tag_tree.depth_of("NONE") == 1
+
+
+class TestWindowLayout:
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_embedding_grad_is_adjoint_of_window_features(self, window):
+        # <F(X), Y> == <X, G(Y)> for the window features F of the token
+        # embeddings X and the embedding gradient G, at every length up to
+        # past the window, reports shorter than it included.
+        rng = np.random.default_rng(window)
+        dim = 3
+        for length in range(1, 8):
+            params = TaggerParams(
+                vocab={},
+                labels=("A", "NONE"),
+                window=window,
+                embed_dim=dim,
+                embeddings=rng.normal(size=(length + 5, dim)),
+                weights=np.zeros(((2 * window + 1) * dim, 2)),
+                bias=np.zeros(2),
+            )
+            token_ids = rng.permutation(np.arange(1, length + 5))[:length]
+            y = rng.normal(size=(length, (2 * window + 1) * dim))
+            lhs = np.sum(_window_features(params, token_ids) * y)
+            rhs = np.sum(params.embeddings[token_ids] * _embedding_grad(params, y))
+            assert abs(lhs - rhs) <= 1e-12, (window, length)
 
 
 class TestTraining:
