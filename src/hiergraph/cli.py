@@ -15,6 +15,7 @@ import json
 import sys
 
 from . import __version__
+from ._lazy import numpy as np
 from .corpus import (
     Dataset,
     atomic_write,
@@ -103,6 +104,22 @@ def _gc_paused(cmd):
     return run
 
 
+def _numpy_first(cmd):
+    """Run the subcommand ``cmd`` with numpy loaded before it starts.
+
+    numpy is bound lazily (see ``_lazy``), so its ~150 ms load would
+    otherwise land in whichever layer first does array maths, and a
+    per-layer trace would charge it to, say, taxonomy building.
+    """
+
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        np.ndarray  # the first attribute access runs numpy's code
+        return cmd(args)
+
+    return run
+
+
 # --- subcommands ------------------------------------------------------------
 
 
@@ -161,6 +178,7 @@ def _cmd_tokenize(args) -> int:
     return EXIT_OK
 
 
+@_numpy_first
 def _cmd_train(args) -> int:
     tree = load_taxonomy(args.taxonomy)
     ds = load_dataset(args.data)
@@ -199,6 +217,7 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
+@_numpy_first
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     ds = _split_subset(load_dataset(args.data), args.splits)
@@ -290,6 +309,7 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@_numpy_first
 def _cmd_loss_check(args) -> int:
     tree = load_taxonomy(args.taxonomy)
     errors = check_loss_gradients(tree, trials=args.trials, seed=args.seed)

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import LengthMismatch, NonFiniteLogit, NotALeaf
 from .taxonomy import (
     TaxonomyTree,

@@ -11,8 +11,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .corpus import atomic_write
 from .errors import (
     FileUnreadable,

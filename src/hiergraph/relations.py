@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .corpus import Dataset
 from .errors import EmptyDataset, LengthMismatch, TrainConfigError
 from .schema import (
@@ -64,10 +63,11 @@ _LABEL_POS = {label: i for i, label in enumerate(ENTITY_LABELS)}
 _KIND_POS = {kind: i for i, kind in enumerate(OUTPUT_KINDS)}
 
 # Lower edges of every bucket but the first: an offset's bucket is the
-# number of edges at or below it.
-_BUCKET_EDGES = np.array([lo for lo, _ in DISTANCE_BUCKETS[1:]])
+# number of edges at or below it.  Plain tuples, so that importing this
+# module does not load numpy.
+_BUCKET_EDGES = tuple(lo for lo, _ in DISTANCE_BUCKETS[1:])
 # The direction bit (offset > 0) of each bucket.
-_FORWARD = np.array([lo is not None and lo > 0 for lo, _ in DISTANCE_BUCKETS])
+_FORWARD = tuple(lo is not None and lo > 0 for lo, _ in DISTANCE_BUCKETS)
 assert all(
     forward or (hi is not None and hi <= 0)
     for forward, (_, hi) in zip(_FORWARD, DISTANCE_BUCKETS)
@@ -91,7 +91,7 @@ class RelationScorerParams:
 
 def _bucket(offsets) -> np.ndarray:
     """Distance bucket index of each signed offset."""
-    return np.searchsorted(_BUCKET_EDGES, offsets, side="right")
+    return np.searchsorted(np.array(_BUCKET_EDGES), offsets, side="right")
 
 
 # The (source label, target label, bucket) cells; a cell index is a
@@ -108,7 +108,7 @@ def _cell_features() -> np.ndarray:
     phi[rows, src] = 1.0
     phi[rows, n_labels + dst] = 1.0
     phi[rows, 2 * n_labels + bucket] = 1.0
-    phi[:, -2] = _FORWARD[bucket]
+    phi[:, -2] = np.array(_FORWARD)[bucket]
     phi[:, -1] = 1.0
     return phi
 

@@ -9,8 +9,7 @@ properties.  All output is deterministic given the seed.
 
 from __future__ import annotations
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .corpus import Dataset
 from .schema import ENTITY_LABELS, RELATION_KINDS, Entity, Relation, ReportGraph
 

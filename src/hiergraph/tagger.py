@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .corpus import Dataset, to_token_labeling
 from .errors import (
     DuplicateNode,

@@ -15,8 +15,7 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
+from ._lazy import numpy as np
 from .errors import (
     CycleDetected,
     DepthOutOfRange,

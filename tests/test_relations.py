@@ -111,6 +111,21 @@ class TestFeatures:
             ]
             assert hits == [_bucket(offset)]
 
+    def test_tables_match_array_form(self):
+        """The bucket edges and direction bits are tuples, turned into
+        arrays where used; the results equal those of array tables."""
+        edges = np.array([lo for lo, _ in DISTANCE_BUCKETS[1:]])
+        forward = np.array([lo is not None and lo > 0 for lo, _ in DISTANCE_BUCKETS])
+        offsets = np.arange(-40, 41)
+        assert np.array_equal(_bucket(offsets), np.searchsorted(edges, offsets, side="right"))
+        src, dst, bucket = np.indices(_CELL_SHAPE).reshape(3, -1)
+        rows = np.arange(len(bucket))
+        want = np.zeros((len(bucket), FEATURE_DIM))
+        want[rows, src] = want[rows, 12 + dst] = want[rows, 24 + bucket] = 1.0
+        want[:, -2] = forward[bucket]
+        want[:, -1] = 1.0
+        assert np.array_equal(_cell_features(), want)
+
     def test_exactly_one_bucket_bit_set(self):
         for offset in (-15, -4, 0, 4, 15):
             phi = features(ent("1", "OBS-DP", 10), ent("2", "ANAT-DP", 10 + offset))
