@@ -144,20 +144,32 @@ def atomic_write(path: str):
         raise
 
 
-def serialize_dataset(ds: Dataset) -> dict:
-    return {r.doc_id: serialize_report(r) for r in ds.reports}
-
-
 def save_dataset(ds: Dataset, path: str, meta: dict | None = None) -> None:
-    doc: dict = {}
-    if meta:
-        doc["_meta"] = meta
-    doc.update(serialize_dataset(ds))
-    # json.dump streams: json.dumps with an indent joins every chunk of the
-    # pure-Python encoder in memory first (+8.5 MB for 2 000 reports).
+    """Write ``ds`` as one JSON object: ``{``, then ``_meta`` (if given)
+    and each report on a line of its own, then ``}``.
+
+    Each line is one ``json.dumps`` without an indent, which runs the C
+    encoder, and only one report's record is alive at a time.  A repeated
+    or reserved doc id raises MalformedRecord and leaves ``path`` as it
+    was.
+    """
+    seen: set[str] = set()
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{")
+        sep = "\n"
+        if meta:
+            fh.write(f'{sep}"_meta": {json.dumps(meta)}')
+            sep = ",\n"
+        for report in ds.reports:
+            doc_id = report.doc_id
+            if doc_id == "_meta":
+                raise MalformedRecord(doc_id, "reserved key used as a doc_id")
+            if doc_id in seen:
+                raise MalformedRecord(doc_id, "duplicate doc_id")
+            seen.add(doc_id)
+            fh.write(f"{sep}{json.dumps(doc_id)}: {json.dumps(serialize_report(report))}")
+            sep = ",\n"
+        fh.write("\n}\n")
 
 
 # --- label statistics -------------------------------------------------------

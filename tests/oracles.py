@@ -6,11 +6,14 @@ of counting tricks, a per-token training loop instead of batched array
 maths, a per-pair relation scorer with dense feature vectors instead of
 index lookups, and the record loader and strict evaluator written
 with per-call helpers, Counters and two merges per report instead of
-import-time tables and plain dicts.  Slow is fine; agreeing with these
-is the point.
+import-time tables and plain dicts, and the dataset writer as one
+indented dump of the whole document instead of one compact line per
+report.  Slow is fine; agreeing with these is the point.
 """
 
 from __future__ import annotations
+
+import json
 
 import mpmath as mp
 import numpy as np
@@ -47,6 +50,7 @@ from hiergraph.schema import (
     Violation,
     is_entity_label,
     normalize_label,
+    serialize_report,
 )
 
 mp.mp.dps = 50
@@ -366,6 +370,19 @@ def reference_train_relations(ds, cfg, cap):
             grad = phi[batch].T @ probs / len(batch)
             weights -= cfg.lr_phase1 * (grad + cfg.l2 * weights)
     return RelationScorerParams(weights=weights, distance_cap=cap)
+
+
+# --- dataset writer, one indented dump of the whole document -----------------
+
+
+def reference_dataset_text(ds, meta=None):
+    """A dataset file's text as ``json.dumps(doc, indent=1)`` of the
+    whole document, ``_meta`` first, as datasets were first written."""
+    doc = {}
+    if meta:
+        doc["_meta"] = meta
+    doc.update({r.doc_id: serialize_report(r) for r in ds.reports})
+    return json.dumps(doc, indent=1) + "\n"
 
 
 # --- record loader, one helper call per check ---------------------------------

@@ -270,6 +270,24 @@ class TestPredictEval:
             "per_type",
         }
 
+    def test_predict_output_is_stable_and_valid(self, work, tmp_path):
+        """Two ``predict`` runs in fresh interpreters with different hash
+        seeds write byte-identical files, which ``validate`` passes."""
+        root = Path(__file__).resolve().parents[1]
+        cli = [sys.executable, "-m", "hiergraph.cli"]
+        texts = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=hash_seed)
+            pred = tmp_path / f"pred-{hash_seed}.json"
+            argv = ["predict", work["model"], work["data"], "-o", pred]
+            done = subprocess.run(cli + argv, env=env, capture_output=True, text=True)
+            assert done.returncode == 0, done.stderr
+            texts.append(pred.read_bytes())
+        assert texts[0] == texts[1]
+        done = subprocess.run(cli + ["validate", pred], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip().endswith("ok")
+
     def test_eval_self_is_perfect(self, work, capsys):
         assert main(["eval", str(work["data"]), str(work["data"])]) == 0
         out = capsys.readouterr().out

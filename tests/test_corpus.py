@@ -2,9 +2,14 @@
 
 import json
 import os
+import tempfile
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hiergraph import (
     Dataset,
@@ -20,11 +25,35 @@ from hiergraph import (
     load_dataset,
     parse_report,
     save_dataset,
+    serialize_report,
     to_token_labeling,
     tokenize,
     validate_graph,
 )
+from hiergraph import corpus
 from hiergraph.corpus import ENTITY_ROWS, atomic_write, parse_dataset
+from hiergraph.schema import Entity, ReportGraph
+from hiergraph.synth import make_separable_corpus
+
+from oracles import reference_dataset_text
+
+# Strings JSON must escape or may pass through: quotes, backslashes,
+# control characters, non-ASCII text and U+2028, which JavaScript reads
+# as a line break.
+_ESCAPED_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\n\t\x00é雪\u2028\u2029\U0001f600 a'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+
+
+def _text_report(doc_id: str, text: str) -> ReportGraph:
+    """A report whose first token, if any, is an entity."""
+    tokens = tuple(text.split())
+    entities = {"1": Entity("1", tokens[0], 0, 0, "ANAT-DP")} if tokens else {}
+    return ReportGraph(doc_id, text, tokens, "test", "synthetic", entities, ())
 
 
 class TestTokenize:
@@ -119,11 +148,59 @@ class TestDataset:
         assert again.by_id() == small_ds.by_id()
         assert json.load(open(out))["_meta"] == {"version": "0"}
 
-    def test_save_text_is_indented_json(self, small_ds, tmp_path):
+    def test_save_layout(self, small_ds, tmp_path):
         out = tmp_path / "copy.json"
-        save_dataset(small_ds, str(out))
-        doc = json.loads(out.read_text())
-        assert out.read_text() == json.dumps(doc, indent=1) + "\n"
+        meta = {"version": "0"}
+        save_dataset(small_ds, str(out), meta=meta)
+        reports = [
+            f"{json.dumps(r.doc_id)}: {json.dumps(serialize_report(r))}"
+            for r in small_ds.reports
+        ]
+        body = [f'"_meta": {json.dumps(meta)}'] + reports
+        assert out.read_text() == "{\n" + ",\n".join(body) + "\n}\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(_ESCAPED_TEXT, _ESCAPED_TEXT), max_size=5,
+                 unique_by=lambda pair: pair[0]),
+        st.one_of(st.none(), st.dictionaries(_ESCAPED_TEXT, _ESCAPED_TEXT, max_size=2)),
+    )
+    def test_save_equals_indented_dump(self, pairs, meta):
+        """The streamed file decodes to the whole-document dump's value,
+        key order included, for ids and texts that need escaping."""
+        ds = Dataset([_text_report(doc_id, text) for doc_id, text in pairs if doc_id != "_meta"])
+        with tempfile.TemporaryDirectory() as root:
+            out = os.path.join(root, "out.json")
+            save_dataset(ds, out, meta=meta)
+            with open(out, encoding="utf-8") as fh:
+                text = fh.read()
+        pairs_of = lambda t: json.loads(t, object_pairs_hook=list)
+        assert pairs_of(text) == pairs_of(reference_dataset_text(ds, meta))
+
+    def test_save_memory_is_one_report(self):
+        """Saving streams: 2 000 short reports peak far below the
+        2.4 MB the whole-document dict and its indented dump held."""
+        ds = make_separable_corpus(n_reports=2000, seed=1, split="test")
+        with tempfile.TemporaryDirectory() as root:
+            tracemalloc.start()
+            try:
+                save_dataset(ds, os.path.join(root, "out.json"))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 0.5e6
+
+    @pytest.mark.parametrize("doc_id", ["chex-1", "_meta"])
+    def test_save_rejects_bad_doc_id(self, small_ds, tmp_path, doc_id):
+        """A repeated or reserved doc id fails before the old file is
+        replaced, and leaves no temporary file."""
+        p = tmp_path / "out.json"
+        p.write_text("old\n")
+        bad = Dataset(small_ds.reports + [replace(small_ds.reports[0], doc_id=doc_id)])
+        with pytest.raises(MalformedRecord, match=doc_id):
+            save_dataset(bad, str(p))
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
 
     def test_non_utf8_file(self, tmp_path):
         p = tmp_path / "bin.json"
@@ -161,6 +238,24 @@ class TestAtomicWrite:
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.raises(OSError, match="disk full"):
             save_dataset(small_ds, str(p))
+        assert p.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.json"]
+
+    def test_failure_mid_stream_keeps_old_file(self, small_ds, tmp_path, monkeypatch):
+        p = tmp_path / "out.json"
+        p.write_text("old\n")
+        calls = []
+
+        def third_fails(report):
+            calls.append(report.doc_id)
+            if len(calls) == 3:
+                raise RuntimeError("serializer failed")
+            return serialize_report(report)
+
+        monkeypatch.setattr(corpus, "serialize_report", third_fails)
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            save_dataset(small_ds, str(p))
+        assert len(calls) == 3 < len(small_ds)
         assert p.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.json"]
 
