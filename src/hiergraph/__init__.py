@@ -39,6 +39,7 @@ from .errors import (
     TaxonomyConfigError,
     TaxonomyMismatch,
     TrainConfigError,
+    TrainingDiverged,
     UnknownNode,
     UnknownParent,
     ValidationError,

@@ -109,6 +109,11 @@ class EmptyDataset(HierGraphError):
     pass
 
 
+class TrainingDiverged(HierGraphError):
+    """Training ran away: its last epoch clamped more than half of its
+    tokens, or its logits stopped being finite."""
+
+
 class TaxonomyMismatch(HierGraphError):
     """A model file was trained against a different taxonomy."""
 

@@ -21,13 +21,36 @@ from hiergraph import (
     train_two_phase,
 )
 from hiergraph.synth import make_separable_corpus
-from hiergraph.tagger import _embedding_grad, _window_features
+from hiergraph import tagger
+from hiergraph.tagger import _blocks, _embedding_grad, _window_features
 from hiergraph.taxonomy import SHIPPED_CONFIGS, load_taxonomy
 
 from oracles import reference_train
 
 # Enough epochs for the linear model to separate the synthetic frames.
 FULL_FIT = dict(phase1_epochs=60, phase2_epochs=30, lr_phase1=0.3, lr_phase2=0.06)
+
+
+def mixed_corpus():
+    """Reports of 0 to 11 tokens, then six separable frames."""
+    def report(doc_id, text, *spans):
+        entities = {
+            str(i): {"tokens": "x", "label": label, "start_ix": a,
+                     "end_ix": b, "relations": []}
+            for i, (label, a, b) in enumerate(spans, start=1)
+        }
+        return parse_report(doc_id, {"text": text, "entities": entities})
+
+    mixed = [
+        report("one", "opacity", ("OBS-DP", 0, 0)),
+        report("empty", ""),
+        report("two", "improved today", ("CHAN-CON-IMP", 0, 0)),
+        report("long", "the right upper lobe has a new opacity that is unchanged",
+               ("ANAT-DP", 1, 3), ("CHAN-CON-AP", 6, 6), ("OBS-DP", 7, 7),
+               ("CHAN-NC", 10, 10)),
+        report("plain", "no acute process"),
+    ]
+    return Dataset(mixed + list(make_separable_corpus(n_reports=6, seed=8).reports))
 
 
 class TestTrainConfig:
@@ -79,26 +102,48 @@ class TestVocab:
 class TestWindowLayout:
     @pytest.mark.parametrize("window", [0, 1, 2, 3])
     def test_embedding_grad_is_adjoint_of_window_features(self, window):
-        # <F(X), Y> == <X, G(Y)> for the window features F of the token
-        # embeddings X and the embedding gradient G, at every length up to
-        # past the window, reports shorter than it included.
+        # <F(X), Y> == <X, G(Y)> for the window features F of a block's
+        # embedding rows X and the embedding gradient G.  The block holds
+        # reports of every length up to past the window, reports shorter
+        # than it included, with gap slots between them.
         rng = np.random.default_rng(window)
         dim = 3
-        for length in range(1, 8):
-            params = TaggerParams(
-                vocab={},
-                labels=("A", "NONE"),
-                window=window,
-                embed_dim=dim,
-                embeddings=rng.normal(size=(length + 5, dim)),
-                weights=np.zeros(((2 * window + 1) * dim, 2)),
-                bias=np.zeros(2),
-            )
-            token_ids = rng.permutation(np.arange(1, length + 5))[:length]
-            y = rng.normal(size=(length, (2 * window + 1) * dim))
-            lhs = np.sum(_window_features(params, token_ids) * y)
-            rhs = np.sum(params.embeddings[token_ids] * _embedding_grad(params, y))
-            assert abs(lhs - rhs) <= 1e-12, (window, length)
+        params = TaggerParams(
+            vocab={},
+            labels=("A", "NONE"),
+            window=window,
+            embed_dim=dim,
+            embeddings=rng.normal(size=(12, dim)),
+            weights=np.zeros(((2 * window + 1) * dim, 2)),
+            bias=np.zeros(2),
+        )
+        batch = [(rng.integers(0, 12, size=n), None) for n in rng.permutation(np.arange(1, 8))]
+        [(token_ids, rows, length)] = _blocks(batch, window)
+        assert length == 28 + 6 * window
+        x = np.zeros((length, dim))
+        x[rows] = params.embeddings[token_ids]
+        y = rng.normal(size=(length, (2 * window + 1) * dim))
+        phi = _window_features(params, x)
+        assert abs(np.sum(phi * y) - np.sum(x * _embedding_grad(params, y))) <= 1e-12
+        # The gap slots keep each window inside its report: a report's
+        # rows of the block features are the features it has alone.
+        ends = np.cumsum([len(ids) for ids, _ in batch])
+        for (ids, _), report_rows in zip(batch, np.split(rows, ends[:-1])):
+            alone = _window_features(params, params.embeddings[ids])
+            np.testing.assert_array_equal(phi[report_rows], alone)
+
+    def test_blocks_cap_tokens_and_keep_order(self, monkeypatch):
+        monkeypatch.setattr(tagger, "_BLOCK_TOKENS", 5)
+        lengths = [2, 3, 1, 7, 4, 1, 5]
+        batch = [(np.full(n, i), None) for i, n in enumerate(lengths)]
+        blocks = list(_blocks(batch, 2))
+        # 2+3 fill a block; 1 alone, since 1+7 > 5; 7 over the cap alone.
+        assert [np.unique(ids).tolist() for ids, _, _ in blocks] == [
+            [0, 1], [2], [3], [4, 5], [6]]
+        assert [length for _, _, length in blocks] == [7, 1, 7, 7, 5]
+        np.testing.assert_array_equal(blocks[0][1], [0, 1, 4, 5, 6])
+        np.testing.assert_array_equal(np.concatenate([ids for ids, _, _ in blocks]),
+                                      np.concatenate([ids for ids, _ in batch]))
 
 
 class TestTraining:
@@ -137,7 +182,7 @@ class TestTraining:
     def test_epoch_records(self, tree3):
         ds = make_separable_corpus(n_reports=16, seed=3)
         records = []
-        train_two_phase(ds, tree3, TrainConfig(3, 2, seed=0), on_epoch=records.append)
+        params = train_two_phase(ds, tree3, TrainConfig(3, 2, seed=0), on_epoch=records.append)
         assert [r["phase"] for r in records] == [1, 1, 1, 2, 2]
         assert [r["epoch"] for r in records] == [1, 2, 3, 1, 2]
         n_tokens = sum(len(r.tokens) for r in ds.reports)
@@ -147,6 +192,8 @@ class TestTraining:
         for r in records:
             assert r["per_depth"][0] == 0.0
             assert sum(r["per_depth"].values()) == pytest.approx(r["loss"], rel=1e-12)
+            assert r["grad_norm"] > 0
+        assert records[-1]["weight_norm"] == np.linalg.norm(params.weights)
 
     def test_loss_decreases_on_separable(self, tree3):
         ds = make_separable_corpus(n_reports=32, seed=4)
@@ -167,24 +214,7 @@ class TestTraining:
         # Mixed lengths, an empty report and batches of three: a window
         # that crossed a report boundary, or a row sent to the wrong
         # report's gradient, would move the parameters far past 1e-12.
-        def report(doc_id, text, *spans):
-            entities = {
-                str(i): {"tokens": "x", "label": label, "start_ix": a,
-                         "end_ix": b, "relations": []}
-                for i, (label, a, b) in enumerate(spans, start=1)
-            }
-            return parse_report(doc_id, {"text": text, "entities": entities})
-
-        mixed = [
-            report("one", "opacity", ("OBS-DP", 0, 0)),
-            report("empty", ""),
-            report("two", "improved today", ("CHAN-CON-IMP", 0, 0)),
-            report("long", "the right upper lobe has a new opacity that is unchanged",
-                   ("ANAT-DP", 1, 3), ("CHAN-CON-AP", 6, 6), ("OBS-DP", 7, 7),
-                   ("CHAN-NC", 10, 10)),
-            report("plain", "no acute process"),
-        ]
-        ds = Dataset(mixed + list(make_separable_corpus(n_reports=6, seed=8).reports))
+        ds = mixed_corpus()
         for window in (0, 2):
             cfg = TrainConfig(4, 3, 0.5, 0.1, seed=2, batch_size=3, window=window,
                               embed_dim=5)
@@ -203,6 +233,52 @@ class TestTraining:
                 assert r["per_depth"].keys() == w["per_depth"].keys()
                 for d, v in w["per_depth"].items():
                     assert r["per_depth"][d] == pytest.approx(v, rel=1e-12, abs=1e-15)
+
+    def test_small_blocks_match_per_token_reference(self, tree3, monkeypatch):
+        # A 4-token cap splits minibatches of three across blocks, and the
+        # 11-token report is a block alone, over the cap.
+        monkeypatch.setattr(tagger, "_BLOCK_TOKENS", 4)
+        self.test_matches_per_token_reference(tree3)
+
+    def test_window_features_see_at_most_a_block(self, tree3, monkeypatch):
+        # Real embedding rows are nonzero and gap slots zero, so each call
+        # shows its real tokens and, as runs of nonzero rows, its reports.
+        monkeypatch.setattr(tagger, "_BLOCK_TOKENS", 4)
+        calls = []
+
+        def spy(params, rows):
+            real = np.any(rows != 0, axis=1)
+            starts = real & ~np.concatenate([[False], real[:-1]])
+            calls.append((int(real.sum()), int(starts.sum())))
+            return _window_features(params, rows)
+
+        monkeypatch.setattr(tagger, "_window_features", spy)
+        ds = mixed_corpus()
+        records = []
+        cfg = TrainConfig(2, 1, 0.5, 0.1, seed=2, batch_size=3, window=2, embed_dim=5)
+        train_two_phase(ds, tree3, cfg, on_epoch=records.append)
+        assert all(tokens <= 4 or reports == 1 for tokens, reports in calls), calls
+        assert any(reports > 1 for _, reports in calls)
+        assert any(tokens > 4 for tokens, _ in calls)
+        assert sum(tokens for tokens, _ in calls) == sum(r["tokens"] for r in records)
+
+    def test_norms_on_one_token(self, tree3):
+        # One one-token report, window 0, one flat epoch from zero weights:
+        # the softmax is uniform over the L tag leaves, so the logit
+        # gradient 1/L - onehot(NONE) has norm sqrt((L-1)/L), and d_w is
+        # its outer product with the token's initial embedding x.  The one
+        # step is -lr * d_w, and l2 does not enter grad_norm.
+        ds = Dataset([parse_report("d", {"text": "clear"})])
+        cfg = TrainConfig(0, 1, lr_phase1=1.0, lr_phase2=0.5, seed=4, window=0,
+                          embed_dim=3, l2=0.25)
+        records = []
+        train_two_phase(ds, tree3, cfg, on_epoch=records.append)
+        x = np.random.default_rng(4).normal(0.0, 0.1, size=(2, 3))[1]
+        n_leaves = len(tree3.leaves) + 1
+        want = np.linalg.norm(x) * np.sqrt((n_leaves - 1) / n_leaves)
+        [r] = records
+        assert r["grad_norm"] == pytest.approx(want, rel=1e-12)
+        assert r["weight_norm"] == pytest.approx(0.5 * want, rel=1e-12)
 
     def test_empty_dataset(self, tree3):
         with pytest.raises(EmptyDataset):
