@@ -42,6 +42,7 @@ from .errors import (
     TrainingDiverged,
     UnknownNode,
     UnknownParent,
+    UnknownSplit,
     ValidationError,
     ZeroParentMass,
 )

@@ -26,12 +26,21 @@ from .corpus import (
     save_dataset,
     tokenize,
 )
-from .errors import EmptyDataset, FileUnreadable, HierGraphError, MalformedRecord
+from .errors import (
+    EmptyDataset,
+    FileUnreadable,
+    HierGraphError,
+    MalformedRecord,
+    TrainConfigError,
+    UnknownSplit,
+)
 from .evaluation import EVAL_MODES, evaluate_intersection
 from .losses import check_loss_gradients, check_loss_invariants
 from .model_io import load_model, save_model
 from .relations import predict_relations, train_relation_scorer
 from .schema import (
+    SPLIT_ALIASES,
+    SPLITS,
     ReportGraph,
     parse_report,
     prune_to_radgraph1,
@@ -74,11 +83,41 @@ def _write_json(doc: dict, path: str | None) -> None:
         print(text)
 
 
-def _split_subset(ds: Dataset, splits: str | None) -> Dataset:
-    if not splits:
-        return ds
-    wanted = [s.strip() for s in splits.split(",") if s.strip()]
-    return ds.subset(wanted)
+def _parse_splits(
+    text: str | None, default: tuple[str, ...] | None
+) -> tuple[str, ...] | None:
+    """The splits a ``--splits`` value names, in order, with aliases
+    resolved as the file loader resolves them; ``default`` without one.
+    None stands for every split."""
+    if text is None:
+        return default
+    names = [name.strip().lower() for name in text.split(",") if name.strip()]
+    if not names:
+        raise UnknownSplit("--splits names no split")
+    wanted = []
+    for name in names:
+        split = SPLIT_ALIASES.get(name, name)
+        if split not in SPLITS:
+            raise UnknownSplit(
+                f"unknown split {name!r} in --splits (choose from "
+                f"{', '.join(SPLITS + tuple(SPLIT_ALIASES))})"
+            )
+        wanted.append(split)
+    return tuple(dict.fromkeys(wanted))
+
+
+def _select(ds: Dataset, splits: tuple[str, ...] | None, path: str) -> Dataset:
+    """The reports of ``ds``, read from ``path``, in ``splits`` (None:
+    all); EmptyDataset, naming the splits the file holds, if none are."""
+    subset = ds if splits is None else ds.subset(splits)
+    if not subset.reports:
+        held = [split for split, ids in ds.partitions.items() if ids]
+        raise EmptyDataset(
+            f"{path} holds no reports"
+            + (f" in {', '.join(splits)}" if splits is not None else "")
+            + f" (its splits: {', '.join(held) or 'none'})"
+        )
+    return subset
 
 
 def _gc_paused(cmd):
@@ -180,11 +219,11 @@ def _cmd_tokenize(args) -> int:
 
 @_numpy_first
 def _cmd_train(args) -> int:
+    splits = _parse_splits(args.splits, ("train", "validation"))
+    if args.distance_cap < 0:
+        raise TrainConfigError("--distance-cap must be >= 0")
     tree = load_taxonomy(args.taxonomy)
-    ds = load_dataset(args.data)
-    subset = _split_subset(ds, args.splits or "train,validation")
-    if not subset.reports:
-        subset = ds
+    subset = _select(load_dataset(args.data), splits, args.data)
 
     cfg = TrainConfig(
         phase1_epochs=0 if args.flat else args.phase1_epochs,
@@ -209,6 +248,11 @@ def _cmd_train(args) -> int:
         try:
             scorer = train_relation_scorer(subset, cfg.l2, cap=args.distance_cap)
         except EmptyDataset:
+            print(
+                f"warning: no entity pairs within distance {args.distance_cap}; "
+                "the model has no relation scorer",
+                file=sys.stderr,
+            )
             scorer = None
 
     save_model(args.output, tree, tagger, relations=scorer, train_config=cfg)
@@ -219,8 +263,9 @@ def _cmd_train(args) -> int:
 
 @_numpy_first
 def _cmd_predict(args) -> int:
+    splits = _parse_splits(args.splits, None)
     model = load_model(args.model)
-    ds = _split_subset(load_dataset(args.data), args.splits)
+    ds = _select(load_dataset(args.data), splits, args.data)
     entities = []
     for report in ds.reports:
         tokens = list(report.tokens)
@@ -254,8 +299,9 @@ def _cmd_predict(args) -> int:
 
 @_gc_paused
 def _cmd_eval(args) -> int:
-    gold = _split_subset(load_dataset(args.gold), args.splits)
-    pred = _split_subset(load_dataset(args.pred), args.splits)
+    splits = _parse_splits(args.splits, None)
+    gold = _select(load_dataset(args.gold), splits, args.gold)
+    pred = _select(load_dataset(args.pred), splits, args.pred)
     common = {r.doc_id for r in gold.reports}.intersection(
         r.doc_id for r in pred.reports
     )
@@ -364,14 +410,17 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--distance-cap", type=int, default=20)
-    p.add_argument("--splits", help="comma-separated splits (default train,validation)")
+    p.add_argument(
+        "--splits",
+        help="comma-separated splits to train on (default train,validation)",
+    )
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="run a trained model over reports")
     p.add_argument("model")
     p.add_argument("data")
-    p.add_argument("--splits")
+    p.add_argument("--splits", help="comma-separated splits to predict (default all)")
     p.add_argument("--single-token", action="store_true")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_predict)
@@ -381,7 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("pred")
     p.add_argument("--mode", choices=EVAL_MODES, default="radgraph2")
     p.add_argument("--grouped", action="store_true")
-    p.add_argument("--splits")
+    p.add_argument("--splits", help="comma-separated splits to score (default all)")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_eval)

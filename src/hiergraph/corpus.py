@@ -316,7 +316,7 @@ def label_statistics(ds: Dataset) -> LabelStats:
 # --- token-level projection and agreement -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenLabeling:
     """Per-token leaf label (or NONE) for one report."""
 

@@ -88,6 +88,10 @@ class ValidationError(HierGraphError):
         self.rule = rule
 
 
+class UnknownSplit(HierGraphError):
+    """A split name that is neither a split nor an alias of one."""
+
+
 class OverlapConflict(HierGraphError):
     """Two entities with different labels cover the same token."""
 

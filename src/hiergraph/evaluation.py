@@ -17,7 +17,7 @@ from .schema import ReportGraph, label_group, prune_to_radgraph1
 EVAL_MODES = ("radgraph2", "radgraph1-common")
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeCounts:
     """True-positive, predicted, and gold tallies for one type."""
 
@@ -114,7 +114,7 @@ def match_relations(gold: ReportGraph, pred: ReportGraph) -> dict[str, TypeCount
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReportCounts:
     """Matching results for one report, tagged with its source."""
 
@@ -323,11 +323,15 @@ def evaluate_intersection(
         raise DocMismatch(
             f"doc sets differ (gold only: {only_g}, predictions only: {only_p})"
         )
-    counts = []
-    for doc_id in sorted(gold_by):
-        gold, pred = gold_by[doc_id], pred_by[doc_id]
-        if mode == "radgraph1-common":
-            gold = prune_to_radgraph1(gold)
-            pred = prune_to_radgraph1(pred)
-        counts.append(evaluate_report(gold, pred))
-    return aggregate(counts, grouped=grouped)
+
+    def counts():
+        # One report's counts alive at a time: aggregate merges each as
+        # it comes.
+        for doc_id in sorted(gold_by):
+            gold, pred = gold_by[doc_id], pred_by[doc_id]
+            if mode == "radgraph1-common":
+                gold = prune_to_radgraph1(gold)
+                pred = prune_to_radgraph1(pred)
+            yield evaluate_report(gold, pred)
+
+    return aggregate(counts(), grouped=grouped)

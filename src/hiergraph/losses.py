@@ -84,7 +84,7 @@ def _report(
     terms = np.where(mask, -np.log(np.maximum(mass, TINY)), 0.0)
     # Each row masks at most one node per depth, so this matmul only
     # moves terms into depth columns and rounds nothing.
-    comps = terms @ np.eye(tree.max_depth + 1)[tree.node_depths]
+    comps = terms @ tree.depth_onehot
     totals = comps.sum(axis=1)
     clamped = (mask & (mass < TINY)).any(axis=1) | (totals > LOSS_CEILING)
     scale = LOSS_CEILING / np.where(clamped, totals, LOSS_CEILING)
@@ -136,8 +136,7 @@ def unconditional_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     batch, as ``conditional_hier_loss`` does.
     """
     probs, gold, mass = _rows(tree, logits, gold_leaf)
-    # The path cut down to the leaf alone; leaf i is mass column i.
-    mask = np.eye(len(tree.leaves), mass.shape[1], dtype=bool)[gold]
+    mask = tree.leaf_masks[gold]
     grad = probs.copy()
     grad[np.arange(len(gold)), gold] -= 1.0
     return _report(tree, mask, mass, grad, np.ndim(logits) == 1)

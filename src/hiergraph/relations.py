@@ -238,6 +238,8 @@ def train_relation_scorer(
     weights depend on the training pairs, ``cap`` and ``l2`` alone."""
     if not 0 <= l2 < np.inf:
         raise TrainConfigError("l2 must be finite and >= 0")
+    if cap < 0:
+        raise TrainConfigError("distance cap must be >= 0")
     x, share = _training_pairs(ds, cap)
     step = 1.0 / (0.5 * (x**2).sum(axis=1).max() + l2)
     weights = prev = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))

@@ -16,6 +16,7 @@ version header.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import MalformedRecord
@@ -109,7 +110,7 @@ _ALLOWED_TRIPLES = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entity:
     """A contiguous token span with a leaf label; indices are inclusive."""
 
@@ -124,14 +125,14 @@ class Entity:
         return label_group(self.label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relation:
     source_id: str
     target_id: str
     kind: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class ReportGraph:
     """One report: tokens plus its annotated entities and relations.
 
@@ -166,7 +167,7 @@ class ReportGraph:
         return " ".join(self.tokens[entity.start_ix : entity.end_ix + 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One validation finding; violations are data, not exceptions."""
 
@@ -192,12 +193,26 @@ STRUCTURAL_RULES = frozenset(
 )
 
 
+# The shared object of each known label (aliases included), relation kind
+# and split.  Parsed reports point at these constants instead of holding
+# a copy of the string each.
+_LABEL_OBJECT = {label: label for label in ENTITY_LABELS}
+_LABEL_OBJECT.update((a, _LABEL_OBJECT[label]) for a, label in LABEL_ALIASES.items())
+_KIND_OBJECT = {kind: kind for kind in RELATION_KINDS}
+_SPLIT_OBJECT = {split: split for split in SPLITS}
+_SPLIT_OBJECT.update((a, _SPLIT_OBJECT[split]) for a, split in SPLIT_ALIASES.items())
+
+
 def parse_report(doc_id: str, record: dict) -> ReportGraph:
     """Parse one wire-format record; raises MalformedRecord on shape errors.
 
     Label/split/source aliases are normalized here.  Semantic problems
     (bad spans, unknown labels, bad signatures) are left for
     validate_graph so they can be reported with rule ids.
+
+    Strings that repeat across reports are stored once: known labels,
+    kinds, splits and sources are the module's constants, and tokens,
+    entity text and relation targets are interned.
     """
     if not isinstance(record, dict):
         raise MalformedRecord(doc_id, "record is not an object")
@@ -211,10 +226,10 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
     split = record.get("split", record.get("data_split", "test"))
     if not isinstance(split, str):
         raise MalformedRecord(doc_id, "'split' is not a string")
-    split = split.lower()
-    split = SPLIT_ALIASES.get(split, split)
-    if split not in SPLITS:
-        raise MalformedRecord(doc_id, f"unknown split {split!r}")
+    lowered = split.lower()
+    split = _SPLIT_OBJECT.get(lowered)
+    if split is None:
+        raise MalformedRecord(doc_id, f"unknown split {lowered!r}")
 
     source = record.get("source", record.get("data_source", "synthetic"))
     if not isinstance(source, str):
@@ -243,8 +258,13 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
         if type(start_ix) is not int or type(end_ix) is not int:
             raise MalformedRecord(doc_id, f"entity {eid!r} has non-integer span")
         sid = str(eid)
+        # str() turns a str subclass, which sys.intern rejects, into a str.
         entities[sid] = Entity(
-            sid, tokens, start_ix, end_ix, LABEL_ALIASES.get(label, label)
+            sid,
+            sys.intern(str(tokens)),
+            start_ix,
+            end_ix,
+            _LABEL_OBJECT.get(label, label),
         )
         raw_rels = raw.get("relations", [])
         if not isinstance(raw_rels, list):
@@ -257,10 +277,19 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
                         f"entity {eid!r} relation entry not a [kind, target] pair",
                     )
                 kind, target = item
-                relations.append(Relation(sid, str(target), str(kind)))
+                kind = str(kind)
+                relations.append(
+                    Relation(sid, sys.intern(str(target)), _KIND_OBJECT.get(kind, kind))
+                )
 
     return ReportGraph(
-        doc_id, text, tuple(text.split()), split, source, entities, tuple(relations)
+        doc_id,
+        text,
+        tuple(map(sys.intern, text.split())),
+        split,
+        source,
+        entities,
+        tuple(relations),
     )
 
 

@@ -72,7 +72,11 @@ class TaxonomyTree:
     root-to-leaf path of leaf i (both ends included), so a (rows x
     leaves) softmax times ``ancestors`` gives every node mass;
     ``path_masks`` is the same path without the root; ``node_depths``
-    gives each column's depth.  These arrays are read-only.
+    gives each column's depth.  Two fixed tables serve the losses:
+    ``depth_onehot[k, d]`` is 1.0 when column k lies at depth d, so terms
+    per column times it are terms per depth, and ``leaf_masks`` is
+    ``path_masks`` cut down to each leaf's own column.  These arrays are
+    read-only.
     """
 
     nodes: dict[str, TaxonomyNode]
@@ -83,6 +87,8 @@ class TaxonomyTree:
     ancestors: np.ndarray = field(repr=False)
     path_masks: np.ndarray = field(repr=False)
     node_depths: np.ndarray = field(repr=False)
+    depth_onehot: np.ndarray = field(repr=False)
+    leaf_masks: np.ndarray = field(repr=False)
     # Node name -> its column of ``ancestors``; leaf i is column i.
     _column: dict[str, int] = field(repr=False)
 
@@ -181,18 +187,23 @@ class TaxonomyTree:
                 cur = parent_of.get(cur)
         node_depths = np.array([depth_of[n] for n in mass_nodes])
         path_masks = (ancestors > 0.0) & (node_depths > 0)
-        for arr in (ancestors, path_masks, node_depths):
+        max_depth = max(depth_of.values())
+        depth_onehot = np.eye(max_depth + 1)[node_depths]
+        leaf_masks = np.eye(len(leaves), len(mass_nodes), dtype=bool)
+        for arr in (ancestors, path_masks, node_depths, depth_onehot, leaf_masks):
             arr.flags.writeable = False
 
         return cls(
             nodes=nodes,
             leaves=leaves,
-            max_depth=max(depth_of.values()),
+            max_depth=max_depth,
             edges=tuple(edges),
             mass_nodes=mass_nodes,
             ancestors=ancestors,
             path_masks=path_masks,
             node_depths=node_depths,
+            depth_onehot=depth_onehot,
+            leaf_masks=leaf_masks,
             _column=column,
         )
 

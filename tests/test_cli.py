@@ -252,11 +252,66 @@ class TestTrain:
         save_dataset(Dataset(reports), str(data))
         args = ["--phase1-epochs", "2", "--phase2-epochs", "1", "-o", str(model)]
         assert main(["train", str(data), *args]) == 0
+        assert "no entity pairs within distance 20" in capsys.readouterr().err
         assert json.loads(model.read_text())["relations"] is None
         assert main(["predict", str(model), str(data), "-o", str(pred)]) == 0
         predicted = load_dataset(str(pred)).reports
         assert len(predicted) == 6
         assert all(r.relations == () for r in predicted)
+        capsys.readouterr()
+
+
+    def test_negative_distance_cap(self, work, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        assert main(["train", str(work["data"]), "--distance-cap", "-5", "-o", str(out)]) == 2
+        assert "--distance-cap must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSplitSelection:
+    """train, predict and eval read --splits alike and never fall back to
+    other splits."""
+
+    @pytest.fixture
+    def files(self, work, tmp_path):
+        test = tmp_path / "test.json"
+        save_dataset(make_separable_corpus(n_reports=4, seed=1, split="test"), str(test))
+        return {"train": str(work["data"]), "test": str(test), "model": str(work["model"]),
+                "out": str(tmp_path / "out" / "o.json")}
+
+    def commands(self, f, data, *flags):
+        epochs = ["--phase1-epochs", "1", "--phase2-epochs", "1"]
+        return (
+            ["train", data, *epochs, *flags, "-o", f["out"]],
+            ["predict", f["model"], data, *flags, "-o", f["out"]],
+            ["eval", data, data, *flags],
+        )
+
+    def test_unknown_split(self, files, capsys):
+        for argv in self.commands(files, files["train"], "--splits", "train,bogus"):
+            assert main(argv) == 2, argv
+            assert "unknown split 'bogus'" in capsys.readouterr().err
+        for argv in self.commands(files, files["train"], "--splits", " ,"):
+            assert main(argv) == 2, argv
+            assert "--splits names no split" in capsys.readouterr().err
+        assert not os.path.exists(os.path.dirname(files["out"]))
+
+    def test_empty_selection_names_the_files_splits(self, files, capsys):
+        # Train's default, train and validation, holds nothing in an
+        # all-test file: it must not train on the test split instead.
+        train, predict, evaluate = self.commands(files, files["test"])
+        assert main(train) == 2
+        err = capsys.readouterr().err
+        assert "holds no reports in train, validation (its splits: test)" in err
+        for argv in self.commands(files, files["test"], "--splits", "Dev"):
+            assert main(argv) == 2, argv
+            assert "holds no reports in validation (its splits: test)" in capsys.readouterr().err
+        assert not os.path.exists(os.path.dirname(files["out"]))
+
+    def test_aliases_select(self, files, capsys):
+        os.mkdir(os.path.dirname(files["out"]))
+        for argv in self.commands(files, files["test"], "--splits", "TEST,test"):
+            assert main(argv) == 0, argv
         capsys.readouterr()
 
 
@@ -594,6 +649,33 @@ class TestExitCodeFuzz:
                 assert code in (0, 1, 2), (argv, err.getvalue())
                 assert "Traceback" not in err.getvalue()
                 assert gc.isenabled()
+
+    @settings(max_examples=20, deadline=None)
+    @given(dataset_files(), st.sampled_from([None, "train", "test", "dev,test", "bogus", ","]))
+    def test_train_predict_prune_kappa_dot(self, work, files, splits):
+        with tempfile.TemporaryDirectory() as tmp:
+            clean, data = os.path.join(tmp, "clean.json"), os.path.join(tmp, "data.json")
+            for path, content in ((clean, files[0]), (data, files[1])):
+                with open(path, "wb") as fh:
+                    fh.write(content)
+            out = os.path.join(tmp, "out")
+            pick = [] if splits is None else ["--splits", splits]
+            for argv in (
+                ["train", data, "--phase1-epochs", "1", "--phase2-epochs", "1", *pick,
+                 "-o", out],
+                ["predict", str(work["model"]), data, *pick, "-o", out],
+                ["prune", data, "-o", out],
+                ["kappa", clean, data],
+                ["kappa", data, data],
+                ["export-dot", data, "--doc", "r0"],
+                ["export-dot", data, "--doc", "r0", "-o", out],
+            ):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main(argv)
+                assert code in (0, 1, 2), (argv, err.getvalue())
+                assert "Traceback" not in err.getvalue()
+                assert not [n for n in os.listdir(tmp) if n.endswith(".tmp")], argv
 
 
 # The objects of a model file whose keys the fuzz deletes or replaces;

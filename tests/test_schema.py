@@ -1,13 +1,19 @@
 """Report-graph parsing, validation rules, pruning, and DOT export."""
 
+import dataclasses
+import json
+
 import pytest
 from hypothesis import given, settings
 
 from hiergraph import (
     ENTITY_LABELS,
+    RELATION_KINDS,
     Entity,
     MalformedRecord,
     Relation,
+    ReportGraph,
+    TypeCounts,
     parse_report,
     prune_to_radgraph1,
     relation_signature_allowed,
@@ -15,7 +21,9 @@ from hiergraph import (
     to_dot,
     validate_graph,
 )
-from hiergraph.schema import label_group, normalize_label
+from hiergraph.corpus import TokenLabeling
+from hiergraph.evaluation import ReportCounts
+from hiergraph.schema import SPLITS, Violation, label_group, normalize_label
 
 from mutations import records
 from oracles import reference_parse_report, reference_validate_graph
@@ -399,6 +407,90 @@ class TestGraphTypes:
         rec2["entities"] = dict(reversed(list(rec["entities"].items())))
         g2 = parse_report("d", rec2)
         assert g1 == g2
+
+
+class _Text(str):
+    """A str subclass, which ``sys.intern`` rejects."""
+
+
+def _as_text_subclass(value):
+    """``value`` with every string in it, keys included, made a ``_Text``."""
+    if isinstance(value, str):
+        return _Text(value)
+    if isinstance(value, dict):
+        return {_Text(k): _as_text_subclass(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_as_text_subclass(v) for v in value]
+    return value
+
+
+class TestCompactRecords:
+    """Parsed reports share each repeated string and carry no __dict__."""
+
+    @staticmethod
+    def decoded(**overrides):
+        # Through JSON, so every string is a fresh object as in a file.
+        return json.loads(json.dumps(make_record(**overrides)))
+
+    def test_reports_share_token_objects(self):
+        a = parse_report("a", self.decoded())
+        b = parse_report("b", self.decoded())
+        assert all(x is y for x, y in zip(a.tokens, b.tokens))
+        assert a.entities["1"].tokens is b.entities["1"].tokens
+        assert a.relations[0].target_id is b.relations[0].target_id
+
+    def test_labels_kinds_and_splits_are_the_constants(self):
+        rec = self.decoded(split="DEV")
+        rec["entities"]["1"]["label"] = "CHAN-IMP"
+        g = parse_report("d", rec)
+        assert g.entities["1"].label is ENTITY_LABELS[ENTITY_LABELS.index("CHAN-CON-IMP")]
+        assert g.entities["2"].label is ENTITY_LABELS[ENTITY_LABELS.index("OBS-DP")]
+        assert g.relations[0].kind is RELATION_KINDS[RELATION_KINDS.index("located_at")]
+        assert g.split is SPLITS[SPLITS.index("validation")]
+
+    def test_unknown_label_and_kind_stay_as_given(self):
+        rec = self.decoded()
+        rec["entities"]["1"]["label"] = "ANAT-XX"
+        rec["entities"]["2"]["relations"] = [["touches", "1"]]
+        g = parse_report("d", rec)
+        assert g.entities["1"].label == "ANAT-XX"
+        assert g.relations[0].kind == "touches"
+
+    def test_no_instance_dict(self):
+        g = parse_report("d", self.decoded())
+        records = [
+            g,
+            g.entities["1"],
+            g.relations[0],
+            Violation("rule", "error", "1", "message"),
+            TypeCounts(),
+            ReportCounts("d", "synthetic", {}, {}),
+            TokenLabeling("d", ("NONE",)),
+        ]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+        for record in records[:4] + records[6:]:
+            field = dataclasses.fields(record)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, field, "x")
+
+    def test_replace(self):
+        g = parse_report("d", self.decoded())
+        ent = dataclasses.replace(g.entities["1"], label="ANAT-DP", start_ix=0, end_ix=0)
+        assert ent == Entity("1", "heart", 0, 0, "ANAT-DP")
+        moved = dataclasses.replace(g, doc_id="e", split="test")
+        assert (moved.doc_id, moved.split) == ("e", "test")
+        assert moved.entities is g.entities and moved.tokens is g.tokens
+
+    def test_str_subclass_strings_parse(self):
+        rec = self.decoded(split="Dev", source="mimic-cxr")
+        rec["entities"]["1"]["label"] = "CHAN-IMP"
+        rec["entities"]["2"]["relations"].append(["touches", "1"])
+        want = parse_report("d", rec)
+        got = parse_report(_Text("d"), _as_text_subclass(rec))
+        assert got == want
+        assert serialize_report(got) == serialize_report(want)
+        assert validate_graph(got) == validate_graph(want)
 
 
 class TestAgainstReference:

@@ -348,6 +348,24 @@ class TestProbabilities:
             for x, dist in zip(logits, dists):
                 assert np.array_equal(leaf_distribution(tree, x), dist)
 
+    def test_loss_tables(self, tree3, tree2, tree1):
+        """The losses' fixed tables: a depth one-hot row per mass column
+        and each leaf's own column; like the other tables, read-only."""
+        rng = np.random.default_rng(7)
+        for tree in [tree3, tree2, tree1] + [random_tree(rng) for _ in range(10)]:
+            k, m = len(tree.leaves), len(tree.mass_nodes)
+            assert tree.depth_onehot.shape == (m, tree.max_depth + 1)
+            assert tree.depth_onehot.sum(axis=1).tolist() == [1.0] * m
+            assert tree.depth_onehot.argmax(axis=1).tolist() == tree.node_depths.tolist()
+            assert tree.leaf_masks.dtype == bool
+            assert [np.flatnonzero(row).tolist() for row in tree.leaf_masks] == [
+                [i] for i in range(k)
+            ]
+            assert np.array_equal(tree.leaf_masks, tree.path_masks & tree.leaf_masks)
+            for arr in (tree.ancestors, tree.path_masks, tree.node_depths,
+                        tree.depth_onehot, tree.leaf_masks):
+                assert not arr.flags.writeable
+
     def test_propagate_rejects_non_distribution(self, tree3):
         bad = np.full(12, 1.0 / 12)
         bad[0] += 0.5
