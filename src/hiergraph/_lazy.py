@@ -1,9 +1,11 @@
 """numpy, bound lazily.
 
 ``numpy`` here is a module handle whose code runs on its first attribute
-access, so importing hiergraph costs no numpy start-up (about 150 ms)
-until a command does array maths: ``validate``, ``stats``, ``eval`` and
-the other annotation commands never do.  The handle is registered as
+access, so importing hiergraph costs no numpy start-up (about 210 ms on
+a shared 2-CPU VM, 130 ms on the one BLAS thread the CLI asks for) until
+a command does array maths: ``validate``, ``stats``, ``eval`` and the
+other annotation commands never do.  This module sets no BLAS thread
+count.  The handle is registered as
 ``sys.modules["numpy"]``, so numpy's own imports and every other
 importer share it; once loaded it is the plain numpy module.  If numpy
 is already imported, that module is reused.  If numpy is missing,

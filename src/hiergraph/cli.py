@@ -12,7 +12,9 @@ import argparse
 import functools
 import gc
 import json
+import os
 import sys
+import types
 
 from . import __version__
 from ._lazy import numpy as np
@@ -120,39 +122,34 @@ def _select(ds: Dataset, splits: tuple[str, ...] | None, path: str) -> Dataset:
     return subset
 
 
-def _gc_paused(cmd):
-    """Run the subcommand ``cmd`` with the cyclic garbage collector paused.
-
-    For commands that load whole annotation files and tally them: they
-    build hundreds of thousands of acyclic objects (decoded JSON, report
-    graphs, counts), which reference counting frees.  With the collector
-    on, allocation alone triggers collections that traverse the growing
-    heap again and again, about a third of ``eval``'s time.
-    """
-
-    @functools.wraps(cmd)
-    def run(args) -> int:
-        if not gc.isenabled():
-            return cmd(args)
-        gc.disable()
-        try:
-            return cmd(args)
-        finally:
-            gc.enable()
-
-    return run
+# OpenBLAS reads its thread count from the first of these that is set,
+# when numpy loads it.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _numpy_first(cmd):
     """Run the subcommand ``cmd`` with numpy loaded before it starts.
 
-    numpy is bound lazily (see ``_lazy``), so its ~150 ms load would
-    otherwise land in whichever layer first does array maths, and a
-    per-layer trace would charge it to, say, taxonomy building.
+    numpy is bound lazily (see ``_lazy``), so its load would otherwise
+    land in whichever layer first does array maths, and a per-layer trace
+    would charge it to, say, taxonomy building.
+
+    numpy loads on one OpenBLAS thread unless the user chose a count:
+    every product the commands run is small, and starting OpenBLAS's
+    worker pool is a large part of numpy's load (about 210 ms against
+    130 ms on one thread, on a shared 2-CPU VM).  Once numpy's code has
+    run in the process, as under an in-process caller of ``main``, the
+    variable could no longer change BLAS and would only leak into that
+    caller's children, so the environment is left alone.
     """
 
     @functools.wraps(cmd)
     def run(args) -> int:
+        # The handle stops being a lazy module when numpy's code runs.
+        if type(np) is not types.ModuleType and not any(
+            name in os.environ for name in _BLAS_THREAD_VARS
+        ):
+            os.environ["OPENBLAS_NUM_THREADS"] = "1"
         np.ndarray  # the first attribute access runs numpy's code
         return cmd(args)
 
@@ -162,7 +159,6 @@ def _numpy_first(cmd):
 # --- subcommands ------------------------------------------------------------
 
 
-@_gc_paused
 def _cmd_validate(args) -> int:
     doc = read_json(args.data)
     if not isinstance(doc, dict):
@@ -189,7 +185,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK
 
 
-@_gc_paused
 def _cmd_stats(args) -> int:
     ds = load_dataset(args.data)
     stats = label_statistics(ds)
@@ -266,11 +261,13 @@ def _cmd_predict(args) -> int:
     splits = _parse_splits(args.splits, None)
     model = load_model(args.model)
     ds = _select(load_dataset(args.data), splits, args.data)
-    entities = []
-    for report in ds.reports:
-        tokens = list(report.tokens)
-        tags = predict_tags(model.tagger, model.tree, tokens)
-        entities.append(decode_entities(tags, tokens, single_token=args.single_token))
+    tokens = [report.tokens for report in ds.reports]
+    entities = [
+        decode_entities(tags, report_tokens, single_token=args.single_token)
+        for tags, report_tokens in zip(
+            predict_tags(model.tagger, model.tree, tokens), tokens
+        )
+    ]
     relations = (
         predict_relations(model.relations, entities)
         if model.relations
@@ -297,7 +294,6 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-@_gc_paused
 def _cmd_eval(args) -> int:
     splits = _parse_splits(args.splits, None)
     gold = _select(load_dataset(args.gold), splits, args.gold)
@@ -462,8 +458,16 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # The command runs with the cyclic garbage collector paused, and the
+    # caller's setting is restored after.  Commands build hundreds of
+    # thousands of acyclic objects (decoded JSON, report graphs, counts,
+    # entities), which reference counting frees.  With the collector on,
+    # allocation alone triggers collections that traverse the growing
+    # heap again and again, about a third of ``eval``'s time.
+    collecting = gc.isenabled()
     try:
         args = parser.parse_args(argv)
+        gc.disable()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -474,6 +478,9 @@ def main(argv=None) -> int:
     except HierGraphError as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def entry_point() -> None:

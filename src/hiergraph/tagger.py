@@ -7,11 +7,12 @@ per-depth tree loss, phase two fine-tunes with flat cross-entropy at a
 lower learning rate.  All updates use the analytic gradients from
 ``losses``; runs are bit-reproducible given the seed.
 
-Training works on blocks: the reports of a minibatch, in order, grouped
-into runs of at most ``_BLOCK_TOKENS`` tokens, laid out as one token
-sequence with ``window`` zero gap slots between reports.  Each block
-costs one set of array calls however many reports it holds, and the gap
-slots keep every window inside its own report.  A run whose last epoch
+Training and prediction work on blocks: the reports of a minibatch, or
+of a ``predict_tags`` batch, in order, grouped into runs of at most
+``_BLOCK_TOKENS`` tokens, laid out as one token sequence with ``window``
+zero gap slots between reports.  Each block costs one set of array calls
+however many reports it holds, and the gap slots keep every window
+inside its own report.  A run whose last epoch
 clamps more than half of its tokens, or whose logits stop being finite,
 raises ``TrainingDiverged``.
 """
@@ -135,8 +136,8 @@ def _embedding_grad(params: TaggerParams, d_phi: np.ndarray) -> np.ndarray:
     return padded[w : w + t]
 
 
-def _blocks(batch: list[tuple[np.ndarray, np.ndarray]], window: int):
-    """The reports of ``batch``, in order, in blocks of at most
+def _blocks(reports: list[np.ndarray], window: int):
+    """The token-id arrays ``reports``, in order, in blocks of at most
     ``_BLOCK_TOKENS`` tokens; a longer report is a block alone.
 
     Yields ``(token_ids, rows, length)``: the block's token ids, the row
@@ -144,15 +145,23 @@ def _blocks(batch: list[tuple[np.ndarray, np.ndarray]], window: int):
     sequence puts ``window`` gap slots between consecutive reports.
     """
     start = 0
-    while start < len(batch):
-        stop, size = start + 1, len(batch[start][0])
-        while stop < len(batch) and size + len(batch[stop][0]) <= _BLOCK_TOKENS:
-            size += len(batch[stop][0])
+    while start < len(reports):
+        stop, size = start + 1, len(reports[start])
+        while stop < len(reports) and size + len(reports[stop]) <= _BLOCK_TOKENS:
+            size += len(reports[stop])
             stop += 1
-        group = [token_ids for token_ids, _ in batch[start:stop]]
+        group = reports[start:stop]
         gaps = window * np.repeat(np.arange(len(group)), [len(ids) for ids in group])
         yield np.concatenate(group), np.arange(size) + gaps, size + window * (len(group) - 1)
         start = stop
+
+
+def _block_features(params: TaggerParams, token_ids, rows, length) -> np.ndarray:
+    """Window features of a ``_blocks`` block's sequence: its tokens'
+    embeddings at ``rows``, zeros in the gap slots."""
+    x = np.zeros((length, params.embed_dim))
+    x[rows] = params.embeddings[token_ids]
+    return _window_features(params, x)
 
 
 def _token_ids(vocab: dict[str, int], tokens) -> np.ndarray:
@@ -202,7 +211,7 @@ def _run_phase(
 
     Returns the last epoch's record, or None when ``epochs`` is zero.
     """
-    e, n_leaves = params.embed_dim, len(params.labels)
+    n_leaves = len(params.labels)
     record = None
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(samples))
@@ -220,12 +229,10 @@ def _run_phase(
             ]
             if not batch:
                 continue
-            blocks = list(_blocks(batch, params.window))
+            blocks = list(_blocks([token_ids for token_ids, _ in batch], params.window))
             feats, logits = [], []
             for token_ids, rows, length in blocks:
-                x = np.zeros((length, e))
-                x[rows] = params.embeddings[token_ids]
-                phi = _window_features(params, x)
+                phi = _block_features(params, token_ids, rows, length)
                 feats.append(phi)
                 logits.append((phi @ params.weights)[rows])
             try:
@@ -333,8 +340,14 @@ def train_two_phase(
     return params
 
 
-def predict_tags(params: TaggerParams, tree: TaxonomyTree, tokens) -> list[str]:
-    """Per-token label names (including the non-entity class)."""
+def predict_tags(params: TaggerParams, tree: TaxonomyTree, tokens) -> list:
+    """Per-token label names (including the non-entity class).
+
+    ``tokens`` is one report's token sequence, which gives its tag list,
+    or a list of such sequences, which gives one tag list per report.
+    Reports run in the same blocks as training (see ``_blocks``), so a
+    batch costs one set of array calls per block, not per report.
+    """
     # The leaves of tag_tree_for(tree), without building that tree.
     if NONE_LABEL in tree:
         raise DuplicateNode(f"node {NONE_LABEL!r} already exists")
@@ -344,12 +357,17 @@ def predict_tags(params: TaggerParams, tree: TaxonomyTree, tokens) -> list[str]:
             "model labels do not match the supplied taxonomy "
             f"({params.labels} vs {expected})"
         )
-    if not tokens:
-        return []
-    phi = _window_features(params, params.embeddings[_token_ids(params.vocab, tokens)])
-    logits = phi @ params.weights + params.bias
-    picks = np.argmax(logits, axis=1)
-    return [params.labels[int(i)] for i in picks]
+    batch = len(tokens) > 0 and not isinstance(tokens[0], str)
+    ids = [_token_ids(params.vocab, report) for report in (tokens if batch else [tokens])]
+    names: list[str] = []
+    for token_ids, rows, length in _blocks([r for r in ids if len(r)], params.window):
+        logits = (_block_features(params, token_ids, rows, length) @ params.weights)[rows]
+        names.extend(params.labels[i] for i in np.argmax(logits + params.bias, axis=1).tolist())
+    tags, start = [], 0
+    for report in ids:
+        tags.append(names[start : start + len(report)])
+        start += len(report)
+    return tags if batch else tags[0]
 
 
 def decode_entities(tags, tokens, single_token: bool = False) -> list[Entity]:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hiergraph import Dataset, load_dataset, save_dataset
+from hiergraph import Dataset, cli, load_dataset, save_dataset
 from hiergraph.cli import main
 from hiergraph.synth import make_separable_corpus
 
@@ -728,9 +728,15 @@ class TestModelExitCodeFuzz:
             assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize("command", ["validate", "stats", "eval"])
-def test_collector_state_restored(command, small_path, capsys):
-    argv = [command, small_path] + ([small_path] if command == "eval" else [])
+@pytest.mark.parametrize("command", ["validate", "stats", "eval", "train", "predict"])
+def test_collector_state_restored(command, small_path, work, tmp_path, capsys):
+    argv = {
+        "eval": ["eval", small_path, small_path],
+        "train": ["train", small_path, "--phase1-epochs", "1", "--phase2-epochs", "1",
+                  "-o", str(tmp_path / "model.json")],
+        "predict": ["predict", str(work["model"]), str(work["data"]),
+                    "-o", str(tmp_path / "pred.json")],
+    }.get(command, [command, small_path])
     gc.disable()
     try:
         assert main(argv) == 0
@@ -740,6 +746,14 @@ def test_collector_state_restored(command, small_path, capsys):
     assert main(argv) == 0
     assert gc.isenabled()
     capsys.readouterr()
+
+
+def test_commands_run_with_collector_paused(small_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_stats", lambda args: seen.append(gc.isenabled()) or 0)
+    assert main(["stats", small_path]) == 0
+    assert seen == [False]
+    assert gc.isenabled()
 
 
 def test_traced_benchmark_hits_every_target(tmp_path):

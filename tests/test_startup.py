@@ -1,7 +1,10 @@
-"""Start-up cost: numpy loads only for the commands that do array maths.
+"""Start-up cost: numpy loads only for the commands that do array maths,
+and then on one BLAS thread unless the user chose a count.
 
 Each check runs in a fresh interpreter, since the test process itself
-has numpy loaded.
+has numpy loaded.  The test builds each child's environment: none of
+the BLAS thread variables is set unless the case sets it, whatever the
+test process carries.
 """
 
 import ast
@@ -18,24 +21,37 @@ from hiergraph.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hiergraph"
 SMALL = str(ROOT / "tests" / "fixtures" / "synthetic_small.json")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-# Runs the CLI on argv and prints its exit code and the numpy submodules
-# then in sys.modules, as JSON.
+# Runs the CLI on argv and prints, as JSON: its exit code, the numpy
+# submodules then in sys.modules, the environment variables it changed,
+# and the process's OS thread count (None without /proc).
 RUN_CLI = """
-import json, sys
+import json, os, sys
+before = dict(os.environ)
 from hiergraph.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
 loaded = sorted(m for m in sys.modules if m.startswith("numpy."))
-print(json.dumps({"code": code, "numpy": loaded}), file=sys.stderr)
+changed = {
+    k: os.environ.get(k)
+    for k in before.keys() | os.environ.keys()
+    if before.get(k) != os.environ.get(k)
+}
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps({"code": code, "numpy": loaded, "environ": changed, "threads": threads}),
+      file=sys.stderr)
 """
 
 
-def child(code: str, *argv) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter with ``src`` on the path; it must exit 0."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def child(code: str, *argv, **environ) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path and, of
+    the BLAS thread variables, only those in ``environ``; it must exit 0."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
         env=env, capture_output=True, text=True,
@@ -44,8 +60,8 @@ def child(code: str, *argv) -> subprocess.CompletedProcess:
     return done
 
 
-def run_cli(*argv) -> dict:
-    return json.loads(child(RUN_CLI, *argv).stderr.splitlines()[-1])
+def run_cli(*argv, prelude: str = "", **environ) -> dict:
+    return json.loads(child(prelude + RUN_CLI, *argv, **environ).stderr.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -76,20 +92,43 @@ def test_annotation_commands_leave_numpy_unloaded(argv, tmp_path):
     text.write_text("No acute cardiopulmonary process.\n")
     argv = [a.format(text=text, out=tmp_path / "out.json") for a in argv]
     result = run_cli(*argv)
-    assert result == {"code": 0, "numpy": []}
+    assert (result["code"], result["numpy"], result["environ"]) == (0, [], {})
+
+
+def array_argv(command, model, out):
+    return {
+        "train": ["train", SMALL, "--phase1-epochs", "1", "--phase2-epochs", "1",
+                  "-o", out / "model.json"],
+        "predict": ["predict", model, SMALL, "-o", out / "pred.json"],
+        "loss-check": ["loss-check", "--trials", "2"],
+    }[command]
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "loss-check"])
 def test_array_commands_load_numpy(command, model, tmp_path):
-    argv = {
-        "train": ["train", SMALL, "--phase1-epochs", "1", "--phase2-epochs", "1",
-                  "-o", tmp_path / "model.json"],
-        "predict": ["predict", model, SMALL, "-o", tmp_path / "pred.json"],
-        "loss-check": ["loss-check", "--trials", "2"],
-    }[command]
-    result = run_cli(*argv)
+    result = run_cli(*array_argv(command, model, tmp_path))
     assert result["code"] == 0
     assert "numpy.linalg" in result["numpy"]
+    assert result["environ"] == {"OPENBLAS_NUM_THREADS": "1"}
+    if result["threads"] is not None:
+        assert result["threads"] == 1
+
+
+@pytest.mark.parametrize(
+    "environ", [{"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "3"}],
+    ids=lambda environ: ",".join(environ),
+)
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_user_thread_count_wins(command, environ, model, tmp_path):
+    result = run_cli(*array_argv(command, model, tmp_path), **environ)
+    assert (result["code"], result["environ"]) == (0, {})
+
+
+def test_numpy_loaded_before_main_keeps_environment(tmp_path):
+    """An in-process caller that already ran numpy keeps its environment,
+    which its own child processes inherit."""
+    result = run_cli(*array_argv("train", None, tmp_path), prelude="import numpy\n")
+    assert (result["code"], result["environ"]) == (0, {})
 
 
 def test_only_the_handle_module_imports_numpy():

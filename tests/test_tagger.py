@@ -117,7 +117,7 @@ class TestWindowLayout:
             weights=np.zeros(((2 * window + 1) * dim, 2)),
             bias=np.zeros(2),
         )
-        batch = [(rng.integers(0, 12, size=n), None) for n in rng.permutation(np.arange(1, 8))]
+        batch = [rng.integers(0, 12, size=n) for n in rng.permutation(np.arange(1, 8))]
         [(token_ids, rows, length)] = _blocks(batch, window)
         assert length == 28 + 6 * window
         x = np.zeros((length, dim))
@@ -127,15 +127,15 @@ class TestWindowLayout:
         assert abs(np.sum(phi * y) - np.sum(x * _embedding_grad(params, y))) <= 1e-12
         # The gap slots keep each window inside its report: a report's
         # rows of the block features are the features it has alone.
-        ends = np.cumsum([len(ids) for ids, _ in batch])
-        for (ids, _), report_rows in zip(batch, np.split(rows, ends[:-1])):
+        ends = np.cumsum([len(ids) for ids in batch])
+        for ids, report_rows in zip(batch, np.split(rows, ends[:-1])):
             alone = _window_features(params, params.embeddings[ids])
             np.testing.assert_array_equal(phi[report_rows], alone)
 
     def test_blocks_cap_tokens_and_keep_order(self, monkeypatch):
         monkeypatch.setattr(tagger, "_BLOCK_TOKENS", 5)
         lengths = [2, 3, 1, 7, 4, 1, 5]
-        batch = [(np.full(n, i), None) for i, n in enumerate(lengths)]
+        batch = [np.full(n, i) for i, n in enumerate(lengths)]
         blocks = list(_blocks(batch, 2))
         # 2+3 fill a block; 1 alone, since 1+7 > 5; 7 over the cap alone.
         assert [np.unique(ids).tolist() for ids, _, _ in blocks] == [
@@ -143,7 +143,7 @@ class TestWindowLayout:
         assert [length for _, _, length in blocks] == [7, 1, 7, 7, 5]
         np.testing.assert_array_equal(blocks[0][1], [0, 1, 4, 5, 6])
         np.testing.assert_array_equal(np.concatenate([ids for ids, _, _ in blocks]),
-                                      np.concatenate([ids for ids, _ in batch]))
+                                      np.concatenate(batch))
 
 
 class TestTraining:
@@ -337,6 +337,30 @@ class TestPredict:
         ds = make_separable_corpus(n_reports=8, seed=6)
         params = train_two_phase(ds, tree3, TrainConfig(1, 1, seed=0))
         assert predict_tags(params, tree3, []) == []
+
+    @pytest.mark.parametrize("cap", [4, 256])
+    def test_batch_matches_reports_alone(self, tree3, monkeypatch, cap):
+        # Reports of 0 to 11 tokens, in blocks of at most ``cap`` tokens:
+        # each report's tags are those its windows give alone, and a batch
+        # tags as one call per report does.  Random weights make every
+        # window slot count, so a neighbouring report's token would show.
+        monkeypatch.setattr(tagger, "_BLOCK_TOKENS", cap)
+        ds = mixed_corpus()
+        vocab = build_vocab(ds)
+        labels = tag_tree_for(tree3).leaves
+        rng = np.random.default_rng(3)
+        params = TaggerParams(vocab, labels, 2, 4, rng.normal(size=(len(vocab) + 1, 4)),
+                              rng.normal(size=(20, len(labels))), rng.normal(size=len(labels)))
+        tokens = [report.tokens for report in ds.reports]
+        want = []
+        for report in tokens:
+            ids = [params.vocab.get(token, 0) for token in report]
+            logits = _window_features(params, params.embeddings[ids]) @ params.weights
+            want.append([params.labels[i] for i in np.argmax(logits + params.bias, axis=1)])
+        assert len({tag for tags in want for tag in tags}) > 2
+        assert predict_tags(params, tree3, tokens) == want
+        assert [predict_tags(params, tree3, report) for report in tokens] == want
+        assert predict_tags(params, tree3, [[], []]) == [[], []]
 
     def test_wrong_taxonomy_rejected(self, tree3, tree1):
         ds = make_separable_corpus(n_reports=8, seed=6)
