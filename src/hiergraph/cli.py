@@ -9,6 +9,7 @@ failure, 3 check failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import gc
 import json
@@ -25,6 +26,7 @@ from .corpus import (
     label_statistics,
     load_dataset,
     read_json,
+    report_records,
     save_dataset,
     tokenize,
 )
@@ -39,11 +41,10 @@ from .errors import (
 from .evaluation import EVAL_MODES, evaluate_intersection
 from .losses import check_loss_gradients, check_loss_invariants
 from .model_io import load_model, save_model
-from .relations import predict_relations, train_relation_scorer
+from .relations import DEFAULT_DISTANCE_CAP, predict_relations, train_relation_scorer
 from .schema import (
     SPLIT_ALIASES,
     SPLITS,
-    ReportGraph,
     parse_report,
     prune_to_radgraph1,
     to_dot,
@@ -76,13 +77,20 @@ def _meta(taxonomy_hash: str | None = None) -> dict:
     return meta
 
 
-def _write_json(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=1)
-    if path:
-        with atomic_write(path) as fh:
-            fh.write(text + "\n")
+def _emit(result, args) -> int:
+    """Write ``result`` (label statistics or scores) as JSON under a
+    ``_meta`` header to ``-o``, or to stdout with ``--json``; as text to
+    stdout otherwise."""
+    if args.json or args.output:
+        text = json.dumps({"_meta": _meta(), **result.to_json()}, indent=1)
+        if args.output:
+            with atomic_write(args.output) as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     else:
-        print(text)
+        sys.stdout.write(result.to_text())
+    return EXIT_OK
 
 
 def _parse_splits(
@@ -160,14 +168,8 @@ def _numpy_first(cmd):
 
 
 def _cmd_validate(args) -> int:
-    doc = read_json(args.data)
-    if not isinstance(doc, dict):
-        raise MalformedRecord("<root>", "annotation document is not an object")
-
     failed = False
-    for doc_id, record in doc.items():
-        if doc_id == "_meta":
-            continue
+    for doc_id, record in report_records(read_json(args.data)):
         try:
             graph = parse_report(doc_id, record)
         except MalformedRecord as exc:
@@ -186,15 +188,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    ds = load_dataset(args.data)
-    stats = label_statistics(ds)
-    if args.json or args.output:
-        doc = {"_meta": _meta()}
-        doc.update(stats.to_json())
-        _write_json(doc, args.output)
-    else:
-        sys.stdout.write(stats.to_text())
-    return EXIT_OK
+    return _emit(label_statistics(load_dataset(args.data)), args)
 
 
 def _cmd_tokenize(args) -> int:
@@ -274,12 +268,8 @@ def _cmd_predict(args) -> int:
         else [[] for _ in entities]
     )
     predicted = [
-        ReportGraph(
-            doc_id=report.doc_id,
-            text=report.text,
-            tokens=report.tokens,
-            split=report.split,
-            source=report.source,
+        dataclasses.replace(
+            report,
             entities={e.id: e for e in report_entities},
             relations=tuple(report_relations),
         )
@@ -311,13 +301,7 @@ def _cmd_eval(args) -> int:
     if len(pred) > len(common):
         pred = Dataset([r for r in pred.reports if r.doc_id in common])
     scores = evaluate_intersection(gold, pred, mode=args.mode, grouped=args.grouped)
-    if args.json or args.output:
-        doc = {"_meta": _meta()}
-        doc.update(scores.to_json())
-        _write_json(doc, args.output)
-    else:
-        sys.stdout.write(scores.to_text())
-    return EXIT_OK
+    return _emit(scores, args)
 
 
 def _cmd_kappa(args) -> int:
@@ -395,17 +379,18 @@ def build_parser() -> _Parser:
     p.add_argument("data")
     p.add_argument("--taxonomy", default="radgraph2_depth3")
     p.add_argument("--flat", action="store_true", help="skip the tree-loss phase")
-    p.add_argument("--phase1-epochs", type=int, default=20)
-    p.add_argument("--phase2-epochs", type=int, default=10)
-    p.add_argument("--lr-phase1", type=float, default=0.1)
-    p.add_argument("--lr-phase2", type=float, default=0.02)
-    p.add_argument("--seed", type=int, default=0)
+    defaults = TrainConfig()
+    p.add_argument("--phase1-epochs", type=int, default=defaults.phase1_epochs)
+    p.add_argument("--phase2-epochs", type=int, default=defaults.phase2_epochs)
+    p.add_argument("--lr-phase1", type=float, default=defaults.lr_phase1)
+    p.add_argument("--lr-phase2", type=float, default=defaults.lr_phase2)
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument(
-        "--batch-size", type=int, default=8,
+        "--batch-size", type=int, default=defaults.batch_size,
         help="reports per tagger minibatch; the relation scorer trains full-batch",
     )
-    p.add_argument("--l2", type=float, default=0.0)
-    p.add_argument("--distance-cap", type=int, default=20)
+    p.add_argument("--l2", type=float, default=defaults.l2)
+    p.add_argument("--distance-cap", type=int, default=DEFAULT_DISTANCE_CAP)
     p.add_argument(
         "--splits",
         help="comma-separated splits to train on (default train,validation)",

@@ -84,6 +84,17 @@ class Dataset:
         return Dataset([r for r in self.reports if r.split in wanted])
 
 
+def report_records(doc):
+    """The ``(doc_id, record)`` pairs of a decoded annotation document, in
+    file order, without the reserved ``_meta`` entry.  A document that is
+    not an object raises MalformedRecord."""
+    if not isinstance(doc, dict):
+        raise MalformedRecord("<root>", "annotation document is not an object")
+    for doc_id, record in doc.items():
+        if doc_id != "_meta":
+            yield doc_id, record
+
+
 def parse_dataset(doc: dict) -> Dataset:
     """Build a Dataset from a decoded annotation document.
 
@@ -91,16 +102,8 @@ def parse_dataset(doc: dict) -> Dataset:
     semantic findings (e.g. off-schema relation signatures) are left to
     validate_graph reporting.
     """
-    if not isinstance(doc, dict):
-        raise MalformedRecord("<root>", "annotation document is not an object")
     reports = []
-    seen = set()
-    for doc_id, record in doc.items():
-        if doc_id == "_meta":
-            continue
-        if doc_id in seen:
-            raise MalformedRecord(doc_id, "duplicate doc_id")
-        seen.add(doc_id)
+    for doc_id, record in report_records(doc):
         graph = parse_report(doc_id, record)
         for v in validate_graph(graph):
             if v.severity == "error" and v.rule in STRUCTURAL_RULES:

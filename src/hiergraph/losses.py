@@ -28,6 +28,13 @@ TINY = 1e-300
 # gradient are rescaled to keep updates bounded.
 LOSS_CEILING = 1e3
 
+CENTRAL_DIFFERENCE_STEP = 1e-5
+
+# Scale of the random logits in ``check_loss_gradients``.  It keeps
+# softmax masses large enough that double-precision central differences
+# stay meaningful; the gradient itself is exact for any finite logits.
+CHECK_LOGIT_SCALE = 1.5
+
 
 @dataclass
 class LossReport:
@@ -142,7 +149,7 @@ def unconditional_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     return _report(tree, mask, mass, grad, np.ndim(logits) == 1)
 
 
-def gradient_check(fn, x, step: float = 1e-5) -> float:
+def gradient_check(fn, x) -> float:
     """Worst relative error between fn's gradient and central differences.
 
     ``fn(x)`` must return ``(loss, grad)``.  The relative error at each
@@ -159,11 +166,11 @@ def gradient_check(fn, x, step: float = 1e-5) -> float:
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
+        xp[i] += CENTRAL_DIFFERENCE_STEP
+        xm[i] -= CENTRAL_DIFFERENCE_STEP
         lp, _ = fn(xp)
         lm, _ = fn(xm)
-        numeric = (lp - lm) / (2.0 * step)
+        numeric = (lp - lm) / (2.0 * CENTRAL_DIFFERENCE_STEP)
         denom = max(abs(float(grad[i])), abs(numeric), 1e-8)
         worst = max(worst, abs(float(grad[i]) - numeric) / denom)
     return worst
@@ -173,20 +180,17 @@ def check_loss_gradients(
     tree: TaxonomyTree,
     trials: int = 100,
     seed: int = 0,
-    scale: float = 1.5,
 ) -> dict[str, float]:
     """Max finite-difference error for both losses over random trials.
 
     Each trial draws fresh logits and a random gold leaf; every logit
     coordinate is checked, so the coordinate count is trials times the
-    leaf count.  The logit scale keeps softmax masses large enough that
-    double-precision central differences stay meaningful; the gradient
-    itself is exact for any finite logits.
+    leaf count.
     """
     rng = np.random.default_rng(seed)
     worst = {"conditional": 0.0, "unconditional": 0.0}
     for _ in range(trials):
-        logits = rng.normal(0.0, scale, size=len(tree.leaves))
+        logits = rng.normal(0.0, CHECK_LOGIT_SCALE, size=len(tree.leaves))
         gold = tree.leaves[int(rng.integers(len(tree.leaves)))]
         for key, loss_fn in (
             ("conditional", conditional_hier_loss),

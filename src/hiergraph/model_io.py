@@ -2,7 +2,8 @@
 
 The file is self-describing: it embeds the taxonomy edge list and its
 hash, the vocabulary, every parameter array, and the training
-configuration.  Loading against a different taxonomy is refused.
+configuration.  A model is used with the taxonomy it embeds; a file
+whose edges do not match the stored hash is refused.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .relations import OUTPUT_KINDS, RelationScorerParams
 from .schema import NONE_LABEL
-from .tagger import TaggerParams, TrainConfig
+from .tagger import TaggerParams, TrainConfig, tag_tree_for
 from .taxonomy import TaxonomyTree
 
 FORMAT_VERSION = 1
@@ -91,19 +92,19 @@ def _int(obj, name: str, low: int) -> int:
 
 def _train_config(obj) -> TrainConfig:
     """A stored training configuration, checked field by field."""
-    known = {f.name: f for f in fields(TrainConfig)}
+    # Each field's type is that of its default: int or float.
+    known = {f.name: type(f.default) for f in fields(TrainConfig)}
     if not isinstance(obj, dict) or not set(obj) <= set(known):
         raise ModelFormatError(
             f"train_config must be an object with keys among {sorted(known)}"
         )
     for name, value in obj.items():
-        # Field types are annotation strings under postponed evaluation.
-        if known[name].type == "float":
+        if known[name] is float:
             ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
         else:
             ok = _is_int(value)
         if not ok:
-            raise ModelFormatError(f"train_config.{name} must be {known[name].type}")
+            raise ModelFormatError(f"train_config.{name} must be {known[name].__name__}")
     cfg = TrainConfig(**obj)
     try:
         cfg.validate()
@@ -112,12 +113,12 @@ def _train_config(obj) -> TrainConfig:
     return cfg
 
 
-def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
-    """Load a model file, checking it against ``tree`` when supplied.
+def load_model(path: str) -> LoadedModel:
+    """Load a model file with the taxonomy it embeds.
 
-    Without a tree the taxonomy is rebuilt from the embedded edges and
-    verified against the stored hash.  A file that is not a well-formed
-    model raises ``ModelFormatError``.
+    The taxonomy is rebuilt from the embedded edges and verified against
+    the stored hash.  A file that is not a well-formed model raises
+    ``ModelFormatError``.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -157,14 +158,7 @@ def load_model(path: str, tree: TaxonomyTree | None = None) -> LoadedModel:
     embedded = TaxonomyTree.from_edges([tuple(e) for e in edges])
     if embedded.config_hash != stored_hash:
         raise TaxonomyMismatch("embedded taxonomy does not match its stored hash")
-    if tree is not None:
-        if tree.config_hash != stored_hash:
-            raise TaxonomyMismatch(
-                "model was trained against a different taxonomy "
-                f"({stored_hash[:12]} vs {tree.config_hash[:12]})"
-            )
-        embedded = tree
-    if labels != embedded.leaves + (NONE_LABEL,):
+    if labels != tag_tree_for(embedded).leaves:
         raise ModelFormatError(f"tagger.labels must be the taxonomy leaves, then {NONE_LABEL!r}")
 
     if embeddings.ndim != 2 or embeddings.shape[1] != embed_dim or not len(embeddings):

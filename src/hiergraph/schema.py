@@ -494,18 +494,25 @@ def prune_to_radgraph1(graph: ReportGraph) -> ReportGraph:
     return replace(graph, entities=kept, relations=relations)
 
 
+def _quoted(*lines: str) -> str:
+    """``lines`` as one quoted DOT string, joined by DOT's ``\\n`` escape,
+    with each backslash and quote in them escaped."""
+    escaped = (line.replace("\\", "\\\\").replace('"', '\\"') for line in lines)
+    return '"' + "\\n".join(escaped) + '"'
+
+
 def to_dot(graph: ReportGraph) -> str:
     """Deterministic DOT rendering: one node per entity, one edge per relation."""
-    lines = [f'digraph "{graph.doc_id}" {{']
+    lines = [f"digraph {_quoted(graph.doc_id)} {{"]
     for eid in sorted(graph.entities):
         ent = graph.entities[eid]
-        label = f"{ent.tokens}\\n{ent.label}"
-        lines.append(f'  "{eid}" [label="{label}"];')
+        lines.append(f"  {_quoted(eid)} [label={_quoted(ent.tokens, ent.label)}];")
     for rel in sorted(
         graph.relations, key=lambda r: (r.source_id, r.target_id, r.kind)
     ):
         lines.append(
-            f'  "{rel.source_id}" -> "{rel.target_id}" [label="{rel.kind}"];'
+            f"  {_quoted(rel.source_id)} -> {_quoted(rel.target_id)} "
+            f"[label={_quoted(rel.kind)}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from ._lazy import numpy as np
 from .corpus import Dataset, to_token_labeling
 from .errors import (
-    DuplicateNode,
     EmptyDataset,
     LengthMismatch,
     NonFiniteLogit,
@@ -33,7 +32,7 @@ from .errors import (
     TrainingDiverged,
 )
 from .losses import conditional_hier_loss, unconditional_loss
-from .schema import NONE_LABEL, Entity
+from .schema import ENTITY_LABELS, NONE_LABEL, Entity
 from .taxonomy import TaxonomyTree
 
 OOV_INDEX = 0
@@ -101,8 +100,18 @@ class TaggerParams:
 
 
 def tag_tree_for(tree: TaxonomyTree) -> TaxonomyTree:
-    """The taxonomy extended with the non-entity leaf, logit order last."""
-    return tree.with_extra_leaf(NONE_LABEL)
+    """The taxonomy extended with the non-entity leaf, logit order last.
+
+    Its leaves are the labels a tagger emits, so every taxonomy leaf must
+    be an entity label; TaxonomyMismatch names those that are not.
+    """
+    tag_tree = tree.with_extra_leaf(NONE_LABEL)
+    foreign = [leaf for leaf in tree.leaves if leaf not in ENTITY_LABELS]
+    if foreign:
+        raise TaxonomyMismatch(
+            f"taxonomy leaves are not entity labels: {', '.join(foreign)}"
+        )
+    return tag_tree
 
 
 def build_vocab(ds: Dataset) -> dict[str, int]:
@@ -348,10 +357,7 @@ def predict_tags(params: TaggerParams, tree: TaxonomyTree, tokens) -> list:
     Reports run in the same blocks as training (see ``_blocks``), so a
     batch costs one set of array calls per block, not per report.
     """
-    # The leaves of tag_tree_for(tree), without building that tree.
-    if NONE_LABEL in tree:
-        raise DuplicateNode(f"node {NONE_LABEL!r} already exists")
-    expected = tree.leaves + (NONE_LABEL,)
+    expected = tag_tree_for(tree).leaves
     if params.labels != expected:
         raise TaxonomyMismatch(
             "model labels do not match the supplied taxonomy "

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows and exit codes."""
 
+import argparse
 import copy
 import gc
 import io
@@ -14,12 +15,25 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hiergraph import Dataset, cli, load_dataset, save_dataset
-from hiergraph.cli import main
+from hiergraph import (
+    ENTITY_LABELS,
+    Dataset,
+    TaggerParams,
+    TaxonomyTree,
+    cli,
+    load_dataset,
+    load_taxonomy,
+    save_dataset,
+    save_model,
+)
+from hiergraph.cli import build_parser, main
+from hiergraph.relations import FEATURE_DIM, OUTPUT_KINDS, RelationScorerParams
+from hiergraph.schema import GROUPS
 from hiergraph.synth import make_separable_corpus
 
 from mutations import JUNK, MUTATIONS, valid_records
@@ -261,6 +275,19 @@ class TestTrain:
         capsys.readouterr()
 
 
+    def test_non_schema_leaf_rejected(self, work, tmp_path, capsys):
+        # A leaf outside the schema's entity labels would become a tag,
+        # and an entity label no later step knows.
+        taxonomy = tmp_path / "foo.txt"
+        taxonomy.write_text(_config_text(FOO_FIRST_EDGES))
+        out = tmp_path / "m.json"
+        argv = ["train", str(work["data"]), "--taxonomy", str(taxonomy), "--phase1-epochs",
+                "0", "--phase2-epochs", "0", "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "FOO" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["foo.txt"]
+
     def test_negative_distance_cap(self, work, tmp_path, capsys):
         out = tmp_path / "m.json"
         assert main(["train", str(work["data"]), "--distance-cap", "-5", "-o", str(out)]) == 2
@@ -399,6 +426,23 @@ class TestPredictEval:
         bad.write_text(json.dumps(doc))
         assert main(["predict", str(bad), str(work["data"]), "-o", str(tmp_path / "p.json")]) == 2
         assert "invalid:" in capsys.readouterr().err
+
+    def test_model_with_non_schema_leaf(self, work, tmp_path, capsys):
+        # Every token would be tagged FOO, which the relation scorer has
+        # no feature for.
+        tree = TaxonomyTree.from_edges(FOO_FIRST_EDGES)
+        labels = tree.leaves + ("NONE",)
+        n = len(labels)
+        bias = np.zeros(n)
+        bias[labels.index("FOO")] = 1.0
+        tagger = TaggerParams({}, labels, 0, 1, np.zeros((1, 1)), np.zeros((1, n)), bias)
+        scorer = RelationScorerParams(np.zeros((FEATURE_DIM, len(OUTPUT_KINDS))))
+        model, pred = tmp_path / "foo_model.json", tmp_path / "p.json"
+        save_model(str(model), tree, tagger, relations=scorer)
+        assert main(["predict", str(model), str(work["data"]), "-o", str(pred)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "FOO" in err and "Traceback" not in err
+        assert not pred.exists()
 
     def test_non_finite_model(self, work, tmp_path, capsys):
         doc = json.loads(work["model"].read_text())
@@ -602,6 +646,54 @@ class TestUsage:
         capsys.readouterr()
 
 
+def test_readme_synopsis_matches_parser():
+    """Each ``hiergraph`` line of README's "Command line" block names one
+    subcommand and exactly the flags the parser gives it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = re.sub(r"\\\n\s*", " ", block).splitlines()
+    documented = {}
+    for line in lines:
+        words = line.split("#", 1)[0].split()
+        assert words[0] == "hiergraph", line
+        documented[words[1]] = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", " ".join(words[2:])))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(sub.choices)
+    for name, parser in sub.choices.items():
+        actions = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        for flag in documented[name]:
+            assert flag in parser._option_string_actions, (name, flag)
+        # Every flag of the parser appears under one of its spellings.
+        for action in actions:
+            assert documented[name] & set(action.option_strings), (name, action.option_strings)
+
+
+# The radgraph2_depth3 tree with one leaf outside the schema declared
+# first, so that an untrained tagger tags every token with it.
+FOO_FIRST_EDGES = [("ROOT", "FOO"), *load_taxonomy("radgraph2_depth3").edges]
+
+# Node names a drawn taxonomy uses: the schema's groups and labels, one
+# name outside the schema, and the tagger's non-entity label.
+TAXONOMY_NAMES = GROUPS + ("CHAN-CON", "CHAN-DEV") + ENTITY_LABELS + ("FOO", "NONE")
+
+
+def _config_text(edges) -> str:
+    return "".join(f"{parent} {child}\n" for parent, child in edges)
+
+
+@st.composite
+def taxonomy_edges(draw):
+    """A small edge list; each child hangs from ROOT or an earlier child,
+    or, now and then, from any name."""
+    children = draw(st.lists(st.sampled_from(TAXONOMY_NAMES), min_size=1, max_size=8,
+                             unique=draw(st.booleans())))
+    edges = []
+    for i, child in enumerate(children):
+        parents = ("ROOT", *children[:i]) if draw(st.integers(0, 4)) else TAXONOMY_NAMES
+        edges.append((draw(st.sampled_from(parents)), child))
+    return edges
+
+
 @st.composite
 def dataset_files(draw):
     """A valid dataset file and a mutated copy of it, as bytes."""
@@ -676,6 +768,39 @@ class TestExitCodeFuzz:
                 assert code in (0, 1, 2), (argv, err.getvalue())
                 assert "Traceback" not in err.getvalue()
                 assert not [n for n in os.listdir(tmp) if n.endswith(".tmp")], argv
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(taxonomy_edges())
+    @example(FOO_FIRST_EDGES)
+    @example(list(load_taxonomy("radgraph2_depth3").edges))
+    def test_train_predict_any_taxonomy(self, edges):
+        record = {
+            "text": "the heart is enlarged",
+            "split": "train",
+            "entities": {
+                "1": {"tokens": "heart", "label": "ANAT-DP", "start_ix": 1, "end_ix": 1,
+                      "relations": []},
+                "2": {"tokens": "enlarged", "label": "OBS-DP", "start_ix": 3, "end_ix": 3,
+                      "relations": [["located_at", "1"]]},
+            },
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            data, taxonomy = os.path.join(tmp, "data.json"), os.path.join(tmp, "tax.txt")
+            model, pred = os.path.join(tmp, "model.json"), os.path.join(tmp, "pred.json")
+            with open(data, "w") as fh:
+                json.dump({"a": record, "b": {"text": "no finding", "split": "train"}}, fh)
+            with open(taxonomy, "w") as fh:
+                fh.write(_config_text(edges))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["train", data, "--taxonomy", taxonomy, "--phase1-epochs", "0",
+                             "--phase2-epochs", "0", "-o", model])
+                assert code in (0, 1, 2), err.getvalue()
+                if code == 0:
+                    assert main(["predict", model, data, "-o", pred]) == 0, err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert not [n for n in os.listdir(tmp) if n.endswith(".tmp")]
 
 
 # The objects of a model file whose keys the fuzz deletes or replaces;

@@ -75,6 +75,15 @@ class TestTokenize:
         assert tokenize("") == []
         assert tokenize("   \t\n ") == []
 
+    def test_spans_index_whitespace_tokens(self):
+        # Loading splits ``text`` on whitespace only; ``tokenize`` splits
+        # raw text into tokens that, joined by spaces, make such a text.
+        raw = "the heart is enlarged."
+        assert parse_report("d", {"text": raw}).tokens == ("the", "heart", "is", "enlarged.")
+        tokens = tokenize(raw)
+        assert tokens == ["the", "heart", "is", "enlarged", "."]
+        assert parse_report("d", {"text": " ".join(tokens)}).tokens == tuple(tokens)
+
     def test_no_empty_tokens_and_concat_invariant(self):
         rng = np.random.default_rng(0)
         alphabet = list("ab .,;:?!()xy-")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -392,6 +393,36 @@ class TestDot:
         a = to_dot(parse_report("d", make_record()))
         b = to_dot(parse_report("d", rec))
         assert a == b
+
+    def test_quotes_and_backslashes_escaped(self):
+        rec = make_record(text='the "heart\\" is enlarged today')
+        rec["entities"]["1"]["tokens"] = '"heart\\"'
+        rec["entities"]['a"\\b'] = rec["entities"].pop("2")
+        rec["entities"]['a"\\b']["relations"] = [["located_at", "1"]]
+        graph = parse_report('d"1\\', rec)
+        assert validate_graph(graph) == []
+        lines = to_dot(graph).splitlines()
+        # Each line is its quoted strings between DOT's own punctuation.
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        shapes = [
+            rf"digraph {quoted} {{",
+            rf"  {quoted} \[label={quoted}\];",
+            rf"  {quoted} -> {quoted} \[label={quoted}\];",
+            r"}",
+        ]
+
+        def strings(line):
+            match = next(m for m in (re.fullmatch(p, line) for p in shapes) if m)
+            unescape = lambda m: "\n" if m[1] == "n" else m[1]
+            return [re.sub(r"\\(.)", unescape, g) for g in match.groups()]
+
+        assert [strings(line) for line in lines] == [
+            ['d"1\\'],
+            ["1", '"heart\\"\nANAT-DP'],
+            ['a"\\b', "enlarged\nOBS-DP"],
+            ['a"\\b', "1", "located_at"],
+            [],
+        ]
 
 
 class TestGraphTypes:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hiergraph import (
+    ENTITY_LABELS,
     CycleDetected,
     DepthOutOfRange,
     DuplicateNode,
@@ -260,6 +261,13 @@ class TestLoad:
     def test_load_unknown(self):
         with pytest.raises(FileUnreadable):
             load_taxonomy("never_heard_of_it")
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    def test_shipped_leaves_are_entity_labels(self, config):
+        leaves = load_taxonomy(config).leaves
+        assert set(leaves) <= set(ENTITY_LABELS)
+        if config.startswith("radgraph2_"):
+            assert leaves == ENTITY_LABELS
 
 
 class TestProbabilities:
