@@ -24,11 +24,11 @@ from .schema import (
     RELATION_KINDS,
     SOURCES,
     SPLITS,
-    STRUCTURAL_RULES,
     ReportGraph,
     label_group,
     parse_report,
     serialize_report,
+    slot_init,
     validate_graph,
 )
 
@@ -98,16 +98,16 @@ def report_records(doc):
 def parse_dataset(doc: dict) -> Dataset:
     """Build a Dataset from a decoded annotation document.
 
-    Error-level structural violations abort with the offending doc_id;
-    semantic findings (e.g. off-schema relation signatures) are left to
-    validate_graph reporting.
+    The first structural violation aborts with the offending doc_id;
+    the other rules (e.g. off-schema relation signatures) are not
+    checked here but left to full validate_graph reporting.
     """
     reports = []
     for doc_id, record in report_records(doc):
         graph = parse_report(doc_id, record)
-        for v in validate_graph(graph):
-            if v.severity == "error" and v.rule in STRUCTURAL_RULES:
-                raise ValidationError(doc_id, v.rule, f"{v.subject}: {v.message}")
+        if findings := validate_graph(graph, structural_only=True):
+            v = findings[0]
+            raise ValidationError(doc_id, v.rule, f"{v.subject}: {v.message}")
         reports.append(graph)
     return Dataset(reports)
 
@@ -319,6 +319,7 @@ def label_statistics(ds: Dataset) -> LabelStats:
 # --- token-level projection and agreement -----------------------------------
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TokenLabeling:
     """Per-token leaf label (or NONE) for one report."""

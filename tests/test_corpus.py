@@ -30,10 +30,15 @@ from hiergraph import (
     tokenize,
     validate_graph,
 )
-from hiergraph import corpus
+from hiergraph import corpus, schema
+from hiergraph.cli import main
 from hiergraph.corpus import ENTITY_ROWS, atomic_write, parse_dataset
 from hiergraph.schema import Entity, ReportGraph
-from hiergraph.synth import make_random_corpus, make_separable_corpus
+from hiergraph.synth import (
+    make_random_corpus,
+    make_separable_corpus,
+    perturb_predictions,
+)
 
 from oracles import reference_dataset_text
 
@@ -139,6 +144,41 @@ class TestDataset:
         ds = parse_dataset(doc)
         bad = ds.by_id()["chex-1"]
         assert any(v.rule == "bad_signature" for v in validate_graph(bad))
+
+    def test_first_structural_error_after_signature_error(self, small_path):
+        doc = json.load(open(small_path))
+        # An ANAT -> OBS located_at (bad_signature), then a dangling target.
+        doc["chex-1"]["entities"]["1"]["relations"] = [
+            ["located_at", "2"],
+            ["modify", "99"],
+        ]
+        graph = parse_report("chex-1", doc["chex-1"])
+        rules = [v.rule for v in validate_graph(graph)]
+        assert rules.index("bad_signature") < rules.index("dangling_relation")
+        with pytest.raises(ValidationError) as err:
+            parse_dataset(doc)
+        assert str(err.value) == (
+            "chex-1: [dangling_relation] 1-modify->99: endpoint '99' does not resolve"
+        )
+
+    def test_loader_builds_no_dropped_finding(self, tmp_path, monkeypatch, capsys):
+        path = str(tmp_path / "noisy.json")
+        gold = make_random_corpus(n_reports=1000, seed=1)
+        save_dataset(perturb_predictions(gold, seed=1), path)
+        built = []
+        violation = schema.Violation
+
+        def spy(*args):
+            built.append(args[0])
+            return violation(*args)
+
+        monkeypatch.setattr(schema, "Violation", spy)
+        ds = load_dataset(path)
+        assert len(ds) == 1000 and built == []
+        findings = sum(len(validate_graph(g)) for g in ds.reports)
+        assert len(built) == findings > 1000
+        assert main(["validate", path]) == 2
+        assert len(capsys.readouterr().out.splitlines()) == findings
 
     def test_missing_file(self):
         with pytest.raises(FileUnreadable):

@@ -1,7 +1,10 @@
 """Report-graph parsing, validation rules, pruning, and DOT export."""
 
+import copy
 import dataclasses
+import inspect
 import json
+import pickle
 import re
 
 import pytest
@@ -24,7 +27,13 @@ from hiergraph import (
 )
 from hiergraph.corpus import TokenLabeling
 from hiergraph.evaluation import ReportCounts
-from hiergraph.schema import SPLITS, Violation, label_group, normalize_label
+from hiergraph.schema import (
+    SPLITS,
+    STRUCTURAL_RULES,
+    Violation,
+    label_group,
+    normalize_label,
+)
 
 from mutations import records
 from oracles import reference_parse_report, reference_validate_graph
@@ -502,8 +511,11 @@ class TestCompactRecords:
             assert not hasattr(record, "__dict__"), type(record).__name__
         for record in records[:4] + records[6:]:
             field = dataclasses.fields(record)[0].name
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, field, "x")
+            for name in (field, "not_a_field"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, "x")
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
 
     def test_replace(self):
         g = parse_report("d", self.decoded())
@@ -540,4 +552,65 @@ class TestAgainstReference:
         got = parse_report("doc", record)
         assert got == want
         assert got.relations == want.relations  # declaration order too
-        assert validate_graph(got) == reference_validate_graph(want)
+        findings = reference_validate_graph(want)
+        assert validate_graph(got) == findings
+        assert validate_graph(got, structural_only=True) == [
+            v for v in findings if v.rule in STRUCTURAL_RULES
+        ]
+
+
+# One value of each frozen record, as positional arguments.
+_RECORDS = {
+    Entity: ("1", "heart", 1, 1, "ANAT-DP"),
+    Relation: ("1", "2", "modify"),
+    ReportGraph: (
+        "d",
+        "heart enlarged",
+        ("heart", "enlarged"),
+        "test",
+        "synthetic",
+        {
+            "1": Entity("1", "heart", 0, 0, "ANAT-DP"),
+            "2": Entity("2", "enlarged", 1, 1, "OBS-DP"),
+        },
+        (Relation("2", "1", "located_at"),),
+    ),
+    Violation: ("rule", "error", "1", "message"),
+    TokenLabeling: ("d", ("NONE", "ANAT-DP")),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+class TestRecordConstruction:
+    """The frozen records keep their dataclass constructor and protocols."""
+
+    def test_positional_equals_keyword(self, cls):
+        args = _RECORDS[cls]
+        names = [f.name for f in dataclasses.fields(cls)]
+        record = cls(*args)
+        assert record == cls(**dict(zip(names, args)))
+        assert [getattr(record, name) for name in names] == list(args)
+
+    def test_signature_is_the_fields(self, cls):
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert list(inspect.signature(cls).parameters) == names
+
+    def test_wrong_argument_count(self, cls):
+        args = _RECORDS[cls]
+        with pytest.raises(TypeError):
+            cls(*args[:-1])
+        with pytest.raises(TypeError):
+            cls(*args, "extra")
+        with pytest.raises(TypeError):
+            cls(*args, **{dataclasses.fields(cls)[0].name: args[0]})
+
+    def test_repr_copy_and_pickle(self, cls):
+        args = _RECORDS[cls]
+        record = cls(*args)
+        fields = ", ".join(
+            f"{f.name}={a!r}" for f, a in zip(dataclasses.fields(cls), args)
+        )
+        assert repr(record) == f"{cls.__name__}({fields})"
+        for twin in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+            assert type(twin) is cls and twin == record
+            assert repr(twin) == repr(record)
