@@ -26,6 +26,7 @@ from .corpus import (
     label_statistics,
     load_dataset,
     read_json,
+    read_text,
     report_records,
     save_dataset,
     tokenize,
@@ -68,6 +69,18 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in its own errors
+    return parse
 
 
 def _meta(taxonomy_hash: str | None = None) -> dict:
@@ -192,16 +205,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_tokenize(args) -> int:
-    try:
-        with open(args.textfile, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FileUnreadable(f"{args.textfile}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(
-            "<root>", f"{args.textfile} is not UTF-8 text: {exc}"
-        ) from exc
-    for token in tokenize(text):
+    for token in tokenize(read_text(args.textfile)):
         print(token)
     return EXIT_OK
 
@@ -434,8 +438,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("loss-check", help="gradient and invariant self-test")
     p.add_argument("--taxonomy", default="radgraph2_depth3")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=100)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=_cmd_loss_check)
 
     return parser

@@ -112,17 +112,21 @@ def parse_dataset(doc: dict) -> Dataset:
     return Dataset(reports)
 
 
-def read_json(path: str):
-    """The JSON document in a UTF-8 file."""
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise FileUnreadable(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MalformedRecord("<root>", f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def read_json(path: str):
+    """The JSON document in a UTF-8 file."""
     try:
-        return json.loads(raw)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise MalformedRecord("<root>", f"invalid JSON in {path}: {exc}") from exc
 

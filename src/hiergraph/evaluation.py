@@ -54,13 +54,6 @@ class TypeCounts:
         }
 
 
-def _check_aligned(gold: ReportGraph, pred: ReportGraph) -> None:
-    if gold.doc_id != pred.doc_id:
-        raise DocMismatch(f"doc ids differ: {gold.doc_id!r} vs {pred.doc_id!r}")
-    if gold.tokens != pred.tokens:
-        raise DocMismatch(f"{gold.doc_id}: token sequences differ")
-
-
 def _min_count_match(gold_keys, pred_keys) -> dict[str, TypeCounts]:
     """One-to-one matching of identical keys, tallied per type.
 
@@ -101,17 +94,12 @@ def _relation_keys(graph: ReportGraph, entity_keys) -> list[tuple]:
 
 def match_entities(gold: ReportGraph, pred: ReportGraph) -> dict[str, TypeCounts]:
     """Per-label counts of strict span+label matches."""
-    _check_aligned(gold, pred)
-    return _min_count_match(_entity_keys(gold).values(), _entity_keys(pred).values())
+    return evaluate_report(gold, pred).entities
 
 
 def match_relations(gold: ReportGraph, pred: ReportGraph) -> dict[str, TypeCounts]:
     """Per-kind counts; endpoints must strict-match as entities."""
-    _check_aligned(gold, pred)
-    return _min_count_match(
-        _relation_keys(gold, _entity_keys(gold)),
-        _relation_keys(pred, _entity_keys(pred)),
-    )
+    return evaluate_report(gold, pred).relations
 
 
 @dataclass(slots=True)
@@ -293,7 +281,10 @@ def aggregate(counts, grouped: bool = False) -> EvalScores:
 
 
 def evaluate_report(gold: ReportGraph, pred: ReportGraph) -> ReportCounts:
-    _check_aligned(gold, pred)
+    if gold.doc_id != pred.doc_id:
+        raise DocMismatch(f"doc ids differ: {gold.doc_id!r} vs {pred.doc_id!r}")
+    if gold.tokens != pred.tokens:
+        raise DocMismatch(f"{gold.doc_id}: token sequences differ")
     gold_keys, pred_keys = _entity_keys(gold), _entity_keys(pred)
     return ReportCounts(
         gold.doc_id,

@@ -67,6 +67,8 @@ class TrainConfig:
             raise TrainConfigError("phase two must use a smaller learning rate")
         if self.batch_size < 1:
             raise TrainConfigError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise TrainConfigError("seed must be >= 0")
         if not 0 <= self.l2 < np.inf:
             raise TrainConfigError("l2 must be finite and >= 0")
         if self.window < 0:

@@ -3,8 +3,8 @@
 A taxonomy is a single rooted tree whose leaves are the predictable
 labels.  A model scores one logit per leaf; the probability of any
 internal node is the total softmax mass of the leaves below it.  All
-values here are immutable after construction and safe to share across
-workers.
+values here are immutable and safe to share across workers; a tree's
+array tables are computed on first read.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 
 from ._lazy import numpy as np
@@ -58,13 +59,20 @@ class TaxonomyNode:
         return not self.children
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class TaxonomyTree:
     """A validated taxonomy with stable leaf ordering.
 
     ``leaves`` is the persisted logit order: leaf i carries logit i.
     ``edges`` preserves the declaration order of the source config and
-    is the canonical form used for hashing and model persistence.
+    is the canonical form used for hashing and model persistence.  The
+    tree holds only what validating the edges produces; every query on
+    names and depths walks parent links and needs no numpy.
 
     The batched losses read the tree as matrices over ``mass_nodes``, the
     leaves in logit order followed by the internal nodes breadth-first
@@ -75,22 +83,14 @@ class TaxonomyTree:
     gives each column's depth.  Two fixed tables serve the losses:
     ``depth_onehot[k, d]`` is 1.0 when column k lies at depth d, so terms
     per column times it are terms per depth, and ``leaf_masks`` is
-    ``path_masks`` cut down to each leaf's own column.  These arrays are
-    read-only.
+    ``path_masks`` cut down to each leaf's own column.  Each is built on
+    its first read, once per tree, and is read-only.
     """
 
     nodes: dict[str, TaxonomyNode]
     leaves: tuple[str, ...]
     max_depth: int
     edges: tuple[tuple[str, str], ...]
-    mass_nodes: tuple[str, ...] = field(repr=False)
-    ancestors: np.ndarray = field(repr=False)
-    path_masks: np.ndarray = field(repr=False)
-    node_depths: np.ndarray = field(repr=False)
-    depth_onehot: np.ndarray = field(repr=False)
-    leaf_masks: np.ndarray = field(repr=False)
-    # Node name -> its column of ``ancestors``; leaf i is column i.
-    _column: dict[str, int] = field(repr=False)
 
     # -- construction --------------------------------------------------------
 
@@ -152,23 +152,11 @@ class TaxonomyTree:
         # implies every node's parent chain ends at ROOT, so the tree is
         # connected.  Depths follow.
         nodes: dict[str, TaxonomyNode] = {}
-        depth_of: dict[str, int] = {ROOT_NAME: 0}
-        order = [ROOT_NAME]
-        queue = [ROOT_NAME]
-        while queue:
-            cur = queue.pop(0)
-            for child in children_of.get(cur, ()):
-                depth_of[child] = depth_of[cur] + 1
-                order.append(child)
-                queue.append(child)
-
-        for name in order:
-            nodes[name] = TaxonomyNode(
-                name=name,
-                parent=parent_of.get(name),
-                children=tuple(children_of.get(name, ())),
-                depth=depth_of[name],
-            )
+        order = [(ROOT_NAME, 0)]
+        for name, depth in order:  # grows as it goes: breadth-first
+            children = tuple(children_of.get(name, ()))
+            nodes[name] = TaxonomyNode(name, parent_of.get(name), children, depth)
+            order.extend((child, depth + 1) for child in children)
 
         # Leaf order = declaration order of the config (each node is a
         # child in exactly one edge); this order is persisted with any
@@ -177,35 +165,47 @@ class TaxonomyTree:
         if len(leaves) < 2:
             raise TaxonomyConfigError("a taxonomy needs at least 2 leaves")
 
-        mass_nodes = leaves + tuple(n for n in order if not nodes[n].is_leaf)
-        column = {n: k for k, n in enumerate(mass_nodes)}
-        ancestors = np.zeros((len(leaves), len(mass_nodes)))
-        for i, leaf in enumerate(leaves):
-            cur: str | None = leaf
-            while cur is not None:
-                ancestors[i, column[cur]] = 1.0
-                cur = parent_of.get(cur)
-        node_depths = np.array([depth_of[n] for n in mass_nodes])
-        path_masks = (ancestors > 0.0) & (node_depths > 0)
-        max_depth = max(depth_of.values())
-        depth_onehot = np.eye(max_depth + 1)[node_depths]
-        leaf_masks = np.eye(len(leaves), len(mass_nodes), dtype=bool)
-        for arr in (ancestors, path_masks, node_depths, depth_onehot, leaf_masks):
-            arr.flags.writeable = False
-
         return cls(
             nodes=nodes,
             leaves=leaves,
-            max_depth=max_depth,
+            max_depth=max(depth for _, depth in order),
             edges=tuple(edges),
-            mass_nodes=mass_nodes,
-            ancestors=ancestors,
-            path_masks=path_masks,
-            node_depths=node_depths,
-            depth_onehot=depth_onehot,
-            leaf_masks=leaf_masks,
-            _column=column,
         )
+
+    # -- tables --------------------------------------------------------------
+
+    @cached_property
+    def mass_nodes(self) -> tuple[str, ...]:
+        return self.leaves + tuple(n for n in self.nodes if not self.nodes[n].is_leaf)
+
+    @cached_property
+    def _column(self) -> dict[str, int]:
+        """Node name -> its column of ``ancestors``; leaf i is column i."""
+        return {name: k for k, name in enumerate(self.mass_nodes)}
+
+    @cached_property
+    def ancestors(self) -> np.ndarray:
+        ancestors = np.zeros((len(self.leaves), len(self.mass_nodes)))
+        for i, leaf in enumerate(self.leaves):
+            for name in self.root_path(leaf):
+                ancestors[i, self._column[name]] = 1.0
+        return _read_only(ancestors)
+
+    @cached_property
+    def node_depths(self) -> np.ndarray:
+        return _read_only(np.array([self.nodes[n].depth for n in self.mass_nodes]))
+
+    @cached_property
+    def path_masks(self) -> np.ndarray:
+        return _read_only((self.ancestors > 0.0) & (self.node_depths > 0))
+
+    @cached_property
+    def depth_onehot(self) -> np.ndarray:
+        return _read_only(np.eye(self.max_depth + 1)[self.node_depths])
+
+    @cached_property
+    def leaf_masks(self) -> np.ndarray:
+        return _read_only(np.eye(len(self.leaves), len(self.mass_nodes), dtype=bool))
 
     # -- queries -------------------------------------------------------------
 
@@ -224,17 +224,14 @@ class TaxonomyTree:
     def is_ancestor(self, a: str, b: str) -> bool:
         """True iff ``a`` lies on the path from the root to ``b``, excluding b."""
         self.node(a)
-        cur = self.node(b).parent
-        while cur is not None:
-            if cur == a:
-                return True
-            cur = self.nodes[cur].parent
-        return False
+        return a in self.root_path(b)[:-1]
 
     def subtree_leaf_indices(self, name: str) -> tuple[int, ...]:
         """Logit indices of the leaves below (or at) ``name``, ascending."""
         self.node(name)
-        return tuple(np.flatnonzero(self.ancestors[:, self._column[name]]).tolist())
+        return tuple(
+            i for i, leaf in enumerate(self.leaves) if name in self.root_path(leaf)
+        )
 
     def leaf_index(self, name: str) -> int:
         node = self.node(name)
@@ -251,13 +248,10 @@ class TaxonomyTree:
             raise DepthOutOfRange(f"depth {d} outside [0, {self.max_depth}]")
         if d > node.depth:
             return None
-        cur = gold_leaf
-        for _ in range(node.depth - d):
-            cur = self.nodes[cur].parent  # type: ignore[assignment]
-        return cur
+        return self.root_path(gold_leaf)[d]
 
     def root_path(self, name: str) -> tuple[str, ...]:
-        """Names from the root down to ``name`` inclusive."""
+        """Names from the root down to ``name`` inclusive: the one parent walk."""
         path = [name]
         cur = self.node(name).parent
         while cur is not None:

@@ -516,7 +516,7 @@ class TestMalformedModel:
             assert f"train_config.{key}" in self._predict(work, tmp_path, capsys, edit)
 
     def test_invalid_train_config(self, work, tmp_path, capsys):
-        for key, value in (("batch_size", 0), ("l2", -1), ("lr_phase2", 5)):
+        for key, value in (("batch_size", 0), ("l2", -1), ("lr_phase2", 5), ("seed", -1)):
             def edit(d, key=key, value=value):
                 d["train_config"][key] = value
             assert "train_config" in self._predict(work, tmp_path, capsys, edit)
@@ -630,6 +630,43 @@ class TestLossCheck:
     def test_unknown_taxonomy(self, capsys):
         assert main(["loss-check", "--taxonomy", "mystery"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, code",
+    [
+        # train rejects a setting as invalid (2) before it writes anything.
+        ("train", "--seed", "-1", 2),
+        ("train", "--seed", "0", 0),
+        ("train", "--batch-size", "-1", 2),
+        ("train", "--batch-size", "0", 2),
+        ("train", "--phase1-epochs", "-1", 2),
+        ("train", "--phase1-epochs", "0", 0),
+        ("train", "--phase2-epochs", "-1", 2),
+        ("train", "--phase2-epochs", "0", 0),
+        # loss-check's flags are usage errors (1).
+        ("loss-check", "--trials", "-1", 1),
+        ("loss-check", "--trials", "0", 1),
+        ("loss-check", "--seed", "-1", 1),
+        ("loss-check", "--seed", "0", 0),
+    ],
+)
+def test_numeric_flags_at_their_bounds(command, flag, value, code, work, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    argv = {
+        "train": ["train", str(work["data"]), "--phase1-epochs", "1", "--phase2-epochs", "1",
+                  "--splits", "train", "-o", str(out)],
+        "loss-check": ["loss-check", "--trials", "2"],
+    }[command]
+    assert main(argv + [flag, value]) == code
+    err = capsys.readouterr().err
+    written = sorted(path.name for path in tmp_path.iterdir())
+    if code == 0:
+        assert written == (["model.json", "model.json.metrics.jsonl"] if command == "train" else [])
+    else:
+        assert written == []
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("invalid:" if code == 2 else "error:"), err
 
 
 class TestUsage:

@@ -95,6 +95,29 @@ def test_annotation_commands_leave_numpy_unloaded(argv, tmp_path):
     assert (result["code"], result["numpy"], result["environ"]) == (0, [], {})
 
 
+def test_tree_queries_leave_numpy_unloaded():
+    """Loading, extending and querying a taxonomy runs no numpy code;
+    only the loss tables need it."""
+    done = child("""
+import sys, types
+from hiergraph import _lazy
+from hiergraph.tagger import tag_tree_for
+from hiergraph.taxonomy import load_taxonomy
+tree = load_taxonomy("radgraph2_depth3")
+for t in (tree, tree.with_extra_leaf("EXTRA", "CHAN"), tag_tree_for(tree)):
+    for name in t.nodes:
+        t.depth_of(name), t.root_path(name), t.subtree_leaf_indices(name)
+        t.is_ancestor("ROOT", name)
+    for leaf in t.leaves:
+        t.leaf_index(leaf)
+        for d in range(t.max_depth + 1):
+            t.correct_node_at_depth(leaf, d)
+    t.mass_nodes, t.config_hash
+print(type(_lazy.numpy) is types.ModuleType, [m for m in sys.modules if m.startswith("numpy.")])
+""")
+    assert done.stdout.strip() == "False []"
+
+
 def array_argv(command, model, out):
     return {
         "train": ["train", SMALL, "--phase1-epochs", "1", "--phase2-epochs", "1",

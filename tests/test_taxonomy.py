@@ -1,5 +1,7 @@
 """Tree construction, validation, and probability propagation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,23 @@ class TestProbabilities:
             for arr in (tree.ancestors, tree.path_masks, tree.node_depths,
                         tree.depth_onehot, tree.leaf_masks):
                 assert not arr.flags.writeable
+
+    def test_tables_built_once_on_first_read(self, tree3):
+        """A new tree holds no table until one is read; each read after
+        the first returns the same read-only object."""
+        tree = TaxonomyTree.from_edges(list(tree3.edges))
+        names = ("mass_nodes", "ancestors", "path_masks", "node_depths",
+                 "depth_onehot", "leaf_masks")
+        assert not set(names) & set(vars(tree))
+        first = {name: getattr(tree, name) for name in names}
+        for name in names:
+            assert getattr(tree, name) is first[name]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(tree, name, None)
+        for name in names[1:]:
+            assert not first[name].flags.writeable
+            with pytest.raises(ValueError):
+                first[name][...] = 0
 
     def test_propagate_rejects_non_distribution(self, tree3):
         bad = np.full(12, 1.0 / 12)
