@@ -9,6 +9,7 @@ failure, 3 check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import gc
@@ -39,7 +40,7 @@ from .errors import (
     TrainConfigError,
     UnknownSplit,
 )
-from .evaluation import EVAL_MODES, evaluate_intersection
+from .evaluation import EVAL_MODES, _match_keys, evaluate_intersection
 from .losses import check_loss_gradients, check_loss_invariants
 from .model_io import load_model, save_model
 from .relations import DEFAULT_DISTANCE_CAP, predict_relations, train_relation_scorer
@@ -165,14 +166,14 @@ def _numpy_first(cmd):
     """
 
     @functools.wraps(cmd)
-    def run(args) -> int:
+    def run(*args) -> int:
         # The handle stops being a lazy module when numpy's code runs.
         if type(np) is not types.ModuleType and not any(
             name in os.environ for name in _BLAS_THREAD_VARS
         ):
             os.environ["OPENBLAS_NUM_THREADS"] = "1"
         np.ndarray  # the first attribute access runs numpy's code
-        return cmd(args)
+        return cmd(*args)
 
     return run
 
@@ -210,14 +211,9 @@ def _cmd_tokenize(args) -> int:
     return EXIT_OK
 
 
-@_numpy_first
 def _cmd_train(args) -> int:
+    # Every setting is checked before numpy loads or any file is opened.
     splits = _parse_splits(args.splits, ("train", "validation"))
-    if args.distance_cap < 0:
-        raise TrainConfigError("--distance-cap must be >= 0")
-    tree = load_taxonomy(args.taxonomy)
-    subset = _select(load_dataset(args.data), splits, args.data)
-
     cfg = TrainConfig(
         phase1_epochs=0 if args.flat else args.phase1_epochs,
         phase2_epochs=args.phase2_epochs,
@@ -227,6 +223,16 @@ def _cmd_train(args) -> int:
         batch_size=args.batch_size,
         l2=args.l2,
     )
+    cfg.validate()
+    if args.distance_cap < 0:
+        raise TrainConfigError("--distance-cap must be >= 0")
+    return _train(args, splits, cfg)
+
+
+@_numpy_first
+def _train(args, splits, cfg: TrainConfig) -> int:
+    tree = load_taxonomy(args.taxonomy)
+    subset = _select(load_dataset(args.data), splits, args.data)
 
     metrics_path = f"{args.output}.metrics.jsonl"
     with atomic_write(metrics_path) as metrics:
@@ -288,13 +294,93 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _forked(what: str, func, *args):
+    """Run ``func(*args)`` in a forked child while the block runs.
+
+    The block gets a function that returns what the call returned, or
+    raises what it raised; the child sends either back pickled through
+    a pipe.  The parent reads the whole pipe before it reaps the child.
+    If the block ends before that, the child is killed and reaped.  The
+    child prints nothing and ends through ``os._exit``, so it runs no
+    exit handler and flushes no inherited buffer.  Without ``os.fork``,
+    or with one usable CPU, the call runs in this process instead, when
+    the block asks for its result.  ``what`` names the work in the error
+    raised when the child ends without a result.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield lambda: func(*args)
+        return
+    import pickle
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (True, func(*args))
+            except BaseException as exc:
+                outcome = (False, exc)
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as out:
+                out.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    reaped = False
+
+    def result():
+        nonlocal reaped
+        with pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        # The child exits 0 only once it has written its whole result.
+        if code:
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise ChildProcessError(f"{what} ended without a result ({how})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    try:
+        yield result
+    finally:
+        pipe.close()
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _prediction_keys(path: str, splits: tuple[str, ...] | None) -> list[tuple]:
+    """The match keys of the reports of ``path`` in ``splits``: all that
+    strict matching reads of them, as plain tuples that pickle fast."""
+    return [_match_keys(r) for r in _select(load_dataset(path), splits, path).reports]
+
+
 def _cmd_eval(args) -> int:
     splits = _parse_splits(args.splits, None)
-    gold = _select(load_dataset(args.gold), splits, args.gold)
-    pred = _select(load_dataset(args.pred), splits, args.pred)
-    common = {r.doc_id for r in gold.reports}.intersection(
-        r.doc_id for r in pred.reports
-    )
+    # The prediction file loads in a child while this process loads gold.
+    # Gold is read first, so its errors win as they would in sequence.
+    with _forked(
+        f"loading {args.pred}", _prediction_keys, args.pred, splits
+    ) as prediction_keys:
+        gold = _select(load_dataset(args.gold), splits, args.gold)
+        pred = prediction_keys()
+    common = {r.doc_id for r in gold.reports}.intersection(keys[0] for keys in pred)
     if not common:
         print("invalid: no common doc ids to evaluate", file=sys.stderr)
         return EXIT_INVALID
@@ -303,7 +389,7 @@ def _cmd_eval(args) -> int:
     if len(gold) > len(common):
         gold = Dataset([r for r in gold.reports if r.doc_id in common])
     if len(pred) > len(common):
-        pred = Dataset([r for r in pred.reports if r.doc_id in common])
+        pred = [keys for keys in pred if keys[0] in common]
     scores = evaluate_intersection(gold, pred, mode=args.mode, grouped=args.grouped)
     return _emit(scores, args)
 

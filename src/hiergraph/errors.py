@@ -74,18 +74,26 @@ class MalformedRecord(HierGraphError):
     """A report record in an annotation file has the wrong JSON shape."""
 
     def __init__(self, doc_id: str, reason: str):
-        super().__init__(f"{doc_id}: {reason}")
+        # The fields are the arguments, so a pickled copy rebuilds.
+        super().__init__(doc_id, reason)
         self.doc_id = doc_id
         self.reason = reason
+
+    def __str__(self) -> str:
+        return f"{self.doc_id}: {self.reason}"
 
 
 class ValidationError(HierGraphError):
     """A report failed a structural validation rule while loading."""
 
     def __init__(self, doc_id: str, rule: str, message: str):
-        super().__init__(f"{doc_id}: [{rule}] {message}")
+        super().__init__(doc_id, rule, message)
         self.doc_id = doc_id
         self.rule = rule
+        self.message = message
+
+    def __str__(self) -> str:
+        return f"{self.doc_id}: [{self.rule}] {self.message}"
 
 
 class UnknownSplit(HierGraphError):

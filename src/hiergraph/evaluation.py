@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .corpus import _aligned
 from .errors import DocMismatch
-from .schema import ReportGraph, label_group, prune_to_radgraph1
+from .schema import ReportGraph, label_group
 
 EVAL_MODES = ("radgraph2", "radgraph1-common")
 
@@ -54,14 +54,16 @@ class TypeCounts:
         }
 
 
-def _min_count_match(gold_keys, pred_keys) -> dict[str, TypeCounts]:
-    """One-to-one matching of identical keys, tallied per type.
+def _min_count_match(gold_keys, pred_keys, counts=None) -> dict[str, TypeCounts]:
+    """One-to-one matching of identical keys, tallied per type into
+    ``counts`` (a new dict by default), which is returned.
 
     Each key's first element is its type; duplicates match min-count,
     since each prediction takes one still unmatched gold copy of its key.
     """
     unmatched: dict[tuple, int] = {}
-    counts: dict[str, TypeCounts] = {}
+    if counts is None:
+        counts = {}
     for key in gold_keys:
         unmatched[key] = unmatched.get(key, 0) + 1
         c = counts.get(key[0])
@@ -81,15 +83,46 @@ def _min_count_match(gold_keys, pred_keys) -> dict[str, TypeCounts]:
     return counts
 
 
-def _entity_keys(graph: ReportGraph) -> dict[str, tuple[str, int, int]]:
-    return {eid: (e.label, e.start_ix, e.end_ix) for eid, e in graph.entities.items()}
+def _match_keys(report) -> tuple:
+    """What strict matching reads of a report, as one plain tuple: doc
+    id, source, tokens, the entity keys ``(label, start, end)`` in entity
+    order, and the relation keys ``(kind, source key, target key)``.
+
+    A report is a ReportGraph or its match keys, which pass through;
+    this is the one place that tells the two apart.
+    """
+    if not isinstance(report, ReportGraph):
+        return report
+    entity_keys = {
+        eid: (e.label, e.start_ix, e.end_ix) for eid, e in report.entities.items()
+    }
+    return (
+        report.doc_id,
+        report.source,
+        report.tokens,
+        tuple(entity_keys.values()),
+        # A list builds faster than a generator feeds tuple().
+        tuple(
+            [
+                (rel.kind, entity_keys[rel.source_id], entity_keys[rel.target_id])
+                for rel in report.relations
+            ]
+        ),
+    )
 
 
-def _relation_keys(graph: ReportGraph, entity_keys) -> list[tuple]:
-    return [
-        (rel.kind, entity_keys[rel.source_id], entity_keys[rel.target_id])
-        for rel in graph.relations
-    ]
+def _prune_keys(keys: tuple) -> tuple:
+    """``prune_to_radgraph1`` on match keys: drop every change entity
+    and every relation touching one."""
+    doc_id, source, tokens, entities, relations = keys
+    kept = lambda key: label_group(key[0]) != "CHAN"
+    return (
+        doc_id,
+        source,
+        tokens,
+        tuple(filter(kept, entities)),
+        tuple(rel for rel in relations if kept(rel[1]) and kept(rel[2])),
+    )
 
 
 def match_entities(gold: ReportGraph, pred: ReportGraph) -> dict[str, TypeCounts]:
@@ -104,9 +137,10 @@ def match_relations(gold: ReportGraph, pred: ReportGraph) -> dict[str, TypeCount
 
 @dataclass(slots=True)
 class ReportCounts:
-    """Matching results for one report, tagged with its source."""
+    """Matching results for one report, tagged with its source; with no
+    doc id, the sum over reports of that source."""
 
-    doc_id: str
+    doc_id: str | None
     source: str
     entities: dict[str, TypeCounts]
     relations: dict[str, TypeCounts]
@@ -280,20 +314,29 @@ def aggregate(counts, grouped: bool = False) -> EvalScores:
     return scores
 
 
-def evaluate_report(gold: ReportGraph, pred: ReportGraph) -> ReportCounts:
-    if gold.doc_id != pred.doc_id:
-        raise DocMismatch(f"doc ids differ: {gold.doc_id!r} vs {pred.doc_id!r}")
-    if gold.tokens != pred.tokens:
-        raise DocMismatch(f"{gold.doc_id}: token sequences differ")
-    gold_keys, pred_keys = _entity_keys(gold), _entity_keys(pred)
-    return ReportCounts(
-        gold.doc_id,
-        gold.source,
-        _min_count_match(gold_keys.values(), pred_keys.values()),
-        _min_count_match(
-            _relation_keys(gold, gold_keys), _relation_keys(pred, pred_keys)
-        ),
-    )
+def evaluate_report(gold, pred, *, into: ReportCounts | None = None) -> ReportCounts:
+    """Strict matching counts of one report.  ``gold`` and ``pred`` are
+    each a ReportGraph or its match keys.  The counts are added to
+    ``into`` when given, and to a new ReportCounts otherwise, which is
+    returned."""
+    doc_id, source, tokens, gold_entities, gold_relations = _match_keys(gold)
+    pred_id, _, pred_tokens, pred_entities, pred_relations = _match_keys(pred)
+    if doc_id != pred_id:
+        raise DocMismatch(f"doc ids differ: {doc_id!r} vs {pred_id!r}")
+    if tokens != pred_tokens:
+        raise DocMismatch(f"{doc_id}: token sequences differ")
+    if into is None:
+        into = ReportCounts(doc_id, source, {}, {})
+    _min_count_match(gold_entities, pred_entities, into.entities)
+    _min_count_match(gold_relations, pred_relations, into.relations)
+    return into
+
+
+def _keyed(reports) -> dict[str, tuple]:
+    """Doc id -> match keys of a Dataset or a sequence of reports."""
+    return {
+        keys[0]: keys for keys in map(_match_keys, getattr(reports, "reports", reports))
+    }
 
 
 def evaluate_intersection(
@@ -301,28 +344,30 @@ def evaluate_intersection(
 ) -> EvalScores:
     """Corpus-level evaluation over aligned doc ids.
 
-    radgraph1-common mode prunes change entities from both sides first,
-    scoring only the schema intersection; radgraph2 scores everything.
+    Each side is a Dataset or a sequence of reports, and each report a
+    ReportGraph or its match keys.  radgraph1-common mode prunes change
+    entities from both sides first, scoring only the schema
+    intersection; radgraph2 scores everything.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-    gold_by = gold_ds.by_id()
-    pred_by = pred_ds.by_id()
+    gold_by = _keyed(gold_ds)
+    pred_by = _keyed(pred_ds)
     if gold_by.keys() != pred_by.keys():
         only_g = sorted(set(gold_by) - set(pred_by))
         only_p = sorted(set(pred_by) - set(gold_by))
         raise DocMismatch(
             f"doc sets differ (gold only: {only_g}, predictions only: {only_p})"
         )
-
-    def counts():
-        # One report's counts alive at a time: aggregate merges each as
-        # it comes.
-        for doc_id in sorted(gold_by):
-            gold, pred = gold_by[doc_id], pred_by[doc_id]
-            if mode == "radgraph1-common":
-                gold = prune_to_radgraph1(gold)
-                pred = prune_to_radgraph1(pred)
-            yield evaluate_report(gold, pred)
-
-    return aggregate(counts(), grouped=grouped)
+    # Every report's counts go straight into the ungrouped tables of its
+    # source; aggregate groups the rows of each source once.
+    by_source: dict[str, ReportCounts] = {}
+    for doc_id in sorted(gold_by):
+        gold, pred = gold_by[doc_id], pred_by[doc_id]
+        if mode == "radgraph1-common":
+            gold, pred = _prune_keys(gold), _prune_keys(pred)
+        into = by_source.get(gold[1])
+        if into is None:
+            into = by_source[gold[1]] = ReportCounts(None, gold[1], {}, {})
+        evaluate_report(gold, pred, into=into)
+    return aggregate(by_source.values(), grouped=grouped)

@@ -19,6 +19,7 @@ raises ``TrainingDiverged``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ._lazy import numpy as np
@@ -61,7 +62,7 @@ class TrainConfig:
     def validate(self) -> None:
         if self.phase1_epochs < 0 or self.phase2_epochs < 0:
             raise TrainConfigError("epoch counts must be >= 0")
-        if not (0 < self.lr_phase1 < np.inf and 0 < self.lr_phase2 < np.inf):
+        if not (0 < self.lr_phase1 < math.inf and 0 < self.lr_phase2 < math.inf):
             raise TrainConfigError("learning rates must be positive and finite")
         if self.lr_phase2 >= self.lr_phase1:
             raise TrainConfigError("phase two must use a smaller learning rate")
@@ -69,7 +70,7 @@ class TrainConfig:
             raise TrainConfigError("batch_size must be >= 1")
         if self.seed < 0:
             raise TrainConfigError("seed must be >= 0")
-        if not 0 <= self.l2 < np.inf:
+        if not 0 <= self.l2 < math.inf:
             raise TrainConfigError("l2 must be finite and >= 0")
         if self.window < 0:
             raise TrainConfigError("window must be >= 0")

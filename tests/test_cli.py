@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -32,9 +33,10 @@ from hiergraph import (
     save_model,
 )
 from hiergraph.cli import build_parser, main
+from hiergraph.evaluation import EVAL_MODES
 from hiergraph.relations import FEATURE_DIM, OUTPUT_KINDS, RelationScorerParams
 from hiergraph.schema import GROUPS
-from hiergraph.synth import make_separable_corpus
+from hiergraph.synth import make_random_corpus, make_separable_corpus, perturb_predictions
 
 from mutations import JUNK, MUTATIONS, valid_records
 
@@ -295,6 +297,30 @@ class TestTrain:
         assert list(tmp_path.iterdir()) == []
 
 
+# Each setting train rejects, and a word of the error that names it.
+REJECTED_TRAIN_SETTINGS = [
+    (["--seed", "-1"], "seed"),
+    (["--lr-phase2", "0.5"], "smaller learning rate"),
+    (["--lr-phase1", "nan"], "learning rates"),
+    (["--l2", "-1"], "l2"),
+    (["--batch-size", "0"], "batch_size"),
+    (["--phase2-epochs", "-1"], "epoch counts"),
+    (["--distance-cap", "-1"], "--distance-cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, name", REJECTED_TRAIN_SETTINGS, ids=lambda v: " ".join(v) if isinstance(v, list) else ""
+)
+def test_train_rejects_settings_before_reading(flags, name, tmp_path, capsys):
+    """A bad setting is reported even when the data file does not exist."""
+    argv = ["train", str(tmp_path / "missing.json"), *flags, "-o", str(tmp_path / "m.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid:") and name in err and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSplitSelection:
     """train, predict and eval read --splits alike and never fall back to
     other splits."""
@@ -451,6 +477,163 @@ class TestPredictEval:
         bad.write_text(json.dumps(doc))
         assert main(["predict", str(bad), str(work["data"]), "-o", str(tmp_path / "p.json")]) == 2
         capsys.readouterr()
+
+
+class TestEvalChildProcess:
+    """``eval`` loads the prediction file in a forked child.  Its output
+    and every error match a load in the process itself, and no child
+    outlives ``main``."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children forked, with two CPUs usable."""
+        pids = []
+        fork = os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return pids
+
+    @staticmethod
+    def assert_reaped(pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.fixture(scope="class")
+    def noisy(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("noisy")
+        gold = make_random_corpus(n_reports=200, seed=3)
+        save_dataset(gold, str(root / "gold.json"))
+        save_dataset(perturb_predictions(gold, seed=4), str(root / "pred.json"))
+        return str(root / "gold.json"), str(root / "pred.json")
+
+    @pytest.mark.parametrize("mode", EVAL_MODES)
+    @pytest.mark.parametrize("grouped", [[], ["--grouped"]], ids=["", "grouped"])
+    def test_fork_and_in_process_agree(self, mode, grouped, noisy, forks, monkeypatch, capsys):
+        argv = ["eval", *noisy, "--json", "--mode", mode, *grouped]
+        assert main(argv) == 0
+        forked = capsys.readouterr().out
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+        monkeypatch.delattr(os, "fork")
+        assert main(argv) == 0
+        assert capsys.readouterr().out == forked
+        assert len(forks) == 1
+
+    @staticmethod
+    def bad_file(kind, tmp_path, small_path):
+        path = tmp_path / f"{kind}.json"
+        doc = json.loads(Path(small_path).read_text())
+        if kind == "not-json":
+            path.write_text("{")
+        elif kind == "malformed":
+            path.write_text(json.dumps({"d": []}))
+        elif kind == "invalid":
+            next(iter(doc["mimic-1"]["entities"].values()))["end_ix"] = 999
+            path.write_text(json.dumps(doc))
+        elif kind == "other-tokens":
+            doc["mimic-1"]["text"] += " more"
+            path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "gold_kind, pred_kind, splits",
+        [
+            ("ok", "ok", None),
+            ("ok", "ok", "validation"),
+            ("missing", "ok", None),
+            ("not-json", "ok", None),
+            ("malformed", "ok", None),
+            ("invalid", "ok", None),
+            ("ok", "missing", None),
+            ("ok", "not-json", None),
+            ("ok", "malformed", None),
+            ("ok", "invalid", None),
+            ("ok", "other-tokens", None),
+            ("not-json", "invalid", None),
+            ("invalid", "missing", None),
+            ("malformed", "not-json", None),
+        ],
+    )
+    def test_outcome_matches_in_process_load(
+        self, gold_kind, pred_kind, splits, small_path, tmp_path, forks, monkeypatch, capsys
+    ):
+        gold = small_path if gold_kind == "ok" else self.bad_file(gold_kind, tmp_path, small_path)
+        pred = small_path if pred_kind == "ok" else self.bad_file(pred_kind, tmp_path, small_path)
+        argv = ["eval", gold, pred] + (["--splits", splits] if splits else [])
+        code = main(argv)
+        forked = (code, *capsys.readouterr())
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+        monkeypatch.delattr(os, "fork")
+        assert (main(argv), *capsys.readouterr()) == forked
+        # Gold is read first, so its error wins.
+        wins = gold_kind if gold_kind != "ok" else pred_kind
+        err = forked[2]
+        if wins == "ok":
+            assert code == 0 and err == ""
+            return
+        assert code == (1 if wins == "missing" else 2)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        path = gold if gold_kind != "ok" else pred
+        assert {
+            "missing": path,
+            "not-json": f"invalid JSON in {path}",
+            "malformed": "d: record is not an object",
+            "invalid": "mimic-1: [span_bounds]",
+            "other-tokens": "mimic-1: token sequences differ",
+        }[wins] in err
+
+    def test_empty_gold_selection(self, tmp_path, forks, capsys):
+        test_only = tmp_path / "test.json"
+        save_dataset(make_separable_corpus(n_reports=4, seed=1, split="test"), str(test_only))
+        assert main(["eval", str(test_only), str(test_only), "--splits", "train"]) == 2
+        assert "holds no reports in train" in capsys.readouterr().err
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_child_dies_without_result(self, small_path, forks, monkeypatch, capsys):
+        parent, load = os.getpid(), cli.load_dataset
+
+        def load_or_die(path):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_dataset", load_or_die)
+        assert main(["eval", small_path, small_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "killed by signal 9" in err
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_interrupted_parent_kills_child(self, small_path, forks, monkeypatch):
+        parent, load = os.getpid(), cli.load_dataset
+
+        def interrupted_in_parent(path):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return load(path)
+
+        monkeypatch.setattr(cli, "load_dataset", interrupted_in_parent)
+        with pytest.raises(KeyboardInterrupt):
+            main(["eval", small_path, small_path])
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_one_cpu_loads_in_process(self, small_path, forks, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(["eval", small_path, small_path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entity_f1_micro"] == 1.0
+        assert forks == []
 
 
 class TestMalformedModel:

@@ -95,6 +95,15 @@ def test_annotation_commands_leave_numpy_unloaded(argv, tmp_path):
     assert (result["code"], result["numpy"], result["environ"]) == (0, [], {})
 
 
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--lr-phase2", "0.5"], ["--distance-cap", "-1"]], ids=" ".join
+)
+def test_rejected_train_setting_leaves_numpy_unloaded(flags, tmp_path):
+    result = run_cli("train", tmp_path / "missing.json", *flags, "-o", tmp_path / "m.json")
+    assert (result["code"], result["numpy"], result["environ"]) == (2, [], {})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_tree_queries_leave_numpy_unloaded():
     """Loading, extending and querying a taxonomy runs no numpy code;
     only the loss tables need it."""
