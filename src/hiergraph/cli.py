@@ -18,20 +18,9 @@ import os
 import sys
 import types
 
-from . import __version__
+from . import __version__, _lazy
+from . import corpus, evaluation, losses, model_io, relations, schema, tagger, taxonomy
 from ._lazy import numpy as np
-from .corpus import (
-    Dataset,
-    atomic_write,
-    dataset_kappa,
-    label_statistics,
-    load_dataset,
-    read_json,
-    read_text,
-    report_records,
-    save_dataset,
-    tokenize,
-)
 from .errors import (
     EmptyDataset,
     FileUnreadable,
@@ -40,20 +29,7 @@ from .errors import (
     TrainConfigError,
     UnknownSplit,
 )
-from .evaluation import EVAL_MODES, _match_keys, evaluate_intersection
-from .losses import check_loss_gradients, check_loss_invariants
-from .model_io import load_model, save_model
-from .relations import DEFAULT_DISTANCE_CAP, predict_relations, train_relation_scorer
-from .schema import (
-    SPLIT_ALIASES,
-    SPLITS,
-    parse_report,
-    prune_to_radgraph1,
-    to_dot,
-    validate_graph,
-)
-from .tagger import TrainConfig, decode_entities, predict_tags, train_two_phase
-from .taxonomy import load_taxonomy
+from .settings import DEFAULT_DISTANCE_CAP, EVAL_MODES, TrainConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -98,7 +74,7 @@ def _emit(result, args) -> int:
     if args.json or args.output:
         text = json.dumps({"_meta": _meta(), **result.to_json()}, indent=1)
         if args.output:
-            with atomic_write(args.output) as fh:
+            with corpus.atomic_write(args.output) as fh:
                 fh.write(text + "\n")
         else:
             print(text)
@@ -120,17 +96,19 @@ def _parse_splits(
         raise UnknownSplit("--splits names no split")
     wanted = []
     for name in names:
-        split = SPLIT_ALIASES.get(name, name)
-        if split not in SPLITS:
+        split = schema.SPLIT_ALIASES.get(name, name)
+        if split not in schema.SPLITS:
             raise UnknownSplit(
                 f"unknown split {name!r} in --splits (choose from "
-                f"{', '.join(SPLITS + tuple(SPLIT_ALIASES))})"
+                f"{', '.join(schema.SPLITS + tuple(schema.SPLIT_ALIASES))})"
             )
         wanted.append(split)
     return tuple(dict.fromkeys(wanted))
 
 
-def _select(ds: Dataset, splits: tuple[str, ...] | None, path: str) -> Dataset:
+def _select(
+    ds: corpus.Dataset, splits: tuple[str, ...] | None, path: str
+) -> corpus.Dataset:
     """The reports of ``ds``, read from ``path``, in ``splits`` (None:
     all); EmptyDataset, naming the splits the file holds, if none are."""
     subset = ds if splits is None else ds.subset(splits)
@@ -172,7 +150,7 @@ def _numpy_first(cmd):
             name in os.environ for name in _BLAS_THREAD_VARS
         ):
             os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        np.ndarray  # the first attribute access runs numpy's code
+        _lazy.load(np)
         return cmd(*args)
 
     return run
@@ -183,14 +161,14 @@ def _numpy_first(cmd):
 
 def _cmd_validate(args) -> int:
     failed = False
-    for doc_id, record in report_records(read_json(args.data)):
+    for doc_id, record in corpus.report_records(corpus.read_json(args.data)):
         try:
-            graph = parse_report(doc_id, record)
+            graph = schema.parse_report(doc_id, record)
         except MalformedRecord as exc:
             print(f"{doc_id}\t[error] malformed_record: {exc.reason}")
             failed = True
             continue
-        for v in validate_graph(graph):
+        for v in schema.validate_graph(graph):
             print(f"{doc_id}\t[{v.severity}] {v.rule} {v.subject}: {v.message}")
             if v.severity == "error" or args.strict:
                 failed = True
@@ -202,11 +180,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    return _emit(label_statistics(load_dataset(args.data)), args)
+    return _emit(corpus.label_statistics(corpus.load_dataset(args.data)), args)
 
 
 def _cmd_tokenize(args) -> int:
-    for token in tokenize(read_text(args.textfile)):
+    for token in corpus.tokenize(corpus.read_text(args.textfile)):
         print(token)
     return EXIT_OK
 
@@ -231,21 +209,21 @@ def _cmd_train(args) -> int:
 
 @_numpy_first
 def _train(args, splits, cfg: TrainConfig) -> int:
-    tree = load_taxonomy(args.taxonomy)
-    subset = _select(load_dataset(args.data), splits, args.data)
+    tree = taxonomy.load_taxonomy(args.taxonomy)
+    subset = _select(corpus.load_dataset(args.data), splits, args.data)
 
     metrics_path = f"{args.output}.metrics.jsonl"
-    with atomic_write(metrics_path) as metrics:
+    with corpus.atomic_write(metrics_path) as metrics:
         metrics.write(json.dumps({"_meta": _meta(tree.config_hash)}) + "\n")
 
         def on_epoch(record):
             metrics.write(json.dumps(record) + "\n")
 
-        tagger = train_two_phase(subset, tree, cfg, on_epoch=on_epoch)
+        params = tagger.train_two_phase(subset, tree, cfg, on_epoch=on_epoch)
         # With the tagger trained on the same reports and config, the only
         # error left to the scorer is having no candidate pairs.
         try:
-            scorer = train_relation_scorer(subset, cfg.l2, cap=args.distance_cap)
+            scorer = relations.train_relation_scorer(subset, cfg.l2, cap=args.distance_cap)
         except EmptyDataset:
             print(
                 f"warning: no entity pairs within distance {args.distance_cap}; "
@@ -253,8 +231,10 @@ def _train(args, splits, cfg: TrainConfig) -> int:
                 file=sys.stderr,
             )
             scorer = None
+        # Inside the block, so that the log is kept only once the model
+        # is written.
+        model_io.save_model(args.output, tree, params, relations=scorer, train_config=cfg)
 
-    save_model(args.output, tree, tagger, relations=scorer, train_config=cfg)
     print(f"model written to {args.output}")
     print(f"metrics written to {metrics_path}")
     return EXIT_OK
@@ -263,17 +243,17 @@ def _train(args, splits, cfg: TrainConfig) -> int:
 @_numpy_first
 def _cmd_predict(args) -> int:
     splits = _parse_splits(args.splits, None)
-    model = load_model(args.model)
-    ds = _select(load_dataset(args.data), splits, args.data)
+    model = model_io.load_model(args.model)
+    ds = _select(corpus.load_dataset(args.data), splits, args.data)
     tokens = [report.tokens for report in ds.reports]
     entities = [
-        decode_entities(tags, report_tokens, single_token=args.single_token)
+        tagger.decode_entities(tags, report_tokens, single_token=args.single_token)
         for tags, report_tokens in zip(
-            predict_tags(model.tagger, model.tree, tokens), tokens
+            tagger.predict_tags(model.tagger, model.tree, tokens), tokens
         )
     ]
-    relations = (
-        predict_relations(model.relations, entities)
+    predicted_relations = (
+        relations.predict_relations(model.relations, entities)
         if model.relations
         else [[] for _ in entities]
     )
@@ -284,11 +264,11 @@ def _cmd_predict(args) -> int:
             relations=tuple(report_relations),
         )
         for report, report_entities, report_relations in zip(
-            ds.reports, entities, relations
+            ds.reports, entities, predicted_relations
         )
     ]
-    save_dataset(
-        Dataset(predicted), args.output, meta=_meta(model.tree.config_hash)
+    corpus.save_dataset(
+        corpus.Dataset(predicted), args.output, meta=_meta(model.tree.config_hash)
     )
     print(f"predictions written to {args.output}")
     return EXIT_OK
@@ -368,17 +348,22 @@ def _forked(what: str, func, *args):
 def _prediction_keys(path: str, splits: tuple[str, ...] | None) -> list[tuple]:
     """The match keys of the reports of ``path`` in ``splits``: all that
     strict matching reads of them, as plain tuples that pickle fast."""
-    return [_match_keys(r) for r in _select(load_dataset(path), splits, path).reports]
+    return [
+        evaluation._match_keys(r)
+        for r in _select(corpus.load_dataset(path), splits, path).reports
+    ]
 
 
 def _cmd_eval(args) -> int:
     splits = _parse_splits(args.splits, None)
+    # Both processes run these modules: run them once, before the fork.
+    _lazy.load(corpus, evaluation)
     # The prediction file loads in a child while this process loads gold.
     # Gold is read first, so its errors win as they would in sequence.
     with _forked(
         f"loading {args.pred}", _prediction_keys, args.pred, splits
     ) as prediction_keys:
-        gold = _select(load_dataset(args.gold), splits, args.gold)
+        gold = _select(corpus.load_dataset(args.gold), splits, args.gold)
         pred = prediction_keys()
     common = {r.doc_id for r in gold.reports}.intersection(keys[0] for keys in pred)
     if not common:
@@ -387,37 +372,39 @@ def _cmd_eval(args) -> int:
     # Doc ids are unique within a loaded file, so a side is rebuilt only
     # when it holds reports outside the intersection.
     if len(gold) > len(common):
-        gold = Dataset([r for r in gold.reports if r.doc_id in common])
+        gold = corpus.Dataset([r for r in gold.reports if r.doc_id in common])
     if len(pred) > len(common):
         pred = [keys for keys in pred if keys[0] in common]
-    scores = evaluate_intersection(gold, pred, mode=args.mode, grouped=args.grouped)
+    scores = evaluation.evaluate_intersection(
+        gold, pred, mode=args.mode, grouped=args.grouped
+    )
     return _emit(scores, args)
 
 
 def _cmd_kappa(args) -> int:
-    ds_a = load_dataset(args.ann_a)
-    ds_b = load_dataset(args.ann_b)
-    print(f"{dataset_kappa(ds_a, ds_b):.4f}")
+    ds_a = corpus.load_dataset(args.ann_a)
+    ds_b = corpus.load_dataset(args.ann_b)
+    print(f"{corpus.dataset_kappa(ds_a, ds_b):.4f}")
     return EXIT_OK
 
 
 def _cmd_prune(args) -> int:
-    ds = load_dataset(args.data)
-    pruned = Dataset([prune_to_radgraph1(r) for r in ds.reports])
-    save_dataset(pruned, args.output, meta=_meta())
+    ds = corpus.load_dataset(args.data)
+    pruned = corpus.Dataset([schema.prune_to_radgraph1(r) for r in ds.reports])
+    corpus.save_dataset(pruned, args.output, meta=_meta())
     print(f"pruned data written to {args.output}")
     return EXIT_OK
 
 
 def _cmd_export_dot(args) -> int:
-    ds = load_dataset(args.data)
+    ds = corpus.load_dataset(args.data)
     by_id = ds.by_id()
     if args.doc not in by_id:
         print(f"invalid: no report with doc id {args.doc!r}", file=sys.stderr)
         return EXIT_INVALID
-    dot = to_dot(by_id[args.doc])
+    dot = schema.to_dot(by_id[args.doc])
     if args.output:
-        with atomic_write(args.output) as fh:
+        with corpus.atomic_write(args.output) as fh:
             fh.write(dot)
         print(f"dot graph written to {args.output}")
     else:
@@ -427,11 +414,11 @@ def _cmd_export_dot(args) -> int:
 
 @_numpy_first
 def _cmd_loss_check(args) -> int:
-    tree = load_taxonomy(args.taxonomy)
-    errors = check_loss_gradients(tree, trials=args.trials, seed=args.seed)
+    tree = taxonomy.load_taxonomy(args.taxonomy)
+    errors = losses.check_loss_gradients(tree, trials=args.trials, seed=args.seed)
     print(f"max gradient rel error (conditional): {errors['conditional']:.3e}")
     print(f"max gradient rel error (unconditional): {errors['unconditional']:.3e}")
-    failures = check_loss_invariants(tree, trials=args.trials, seed=args.seed)
+    failures = losses.check_loss_invariants(tree, trials=args.trials, seed=args.seed)
     if max(errors.values()) >= 1e-4:
         failures.append("gradient error above 1e-4")
     if failures:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from .corpus import _aligned
 from .errors import DocMismatch
 from .schema import ReportGraph, label_group
-
-EVAL_MODES = ("radgraph2", "radgraph1-common")
+from .settings import EVAL_MODES
 
 
 @dataclass(slots=True)

@@ -23,7 +23,8 @@ from .errors import (
 )
 from .relations import OUTPUT_KINDS, RelationScorerParams
 from .schema import NONE_LABEL
-from .tagger import TaggerParams, TrainConfig, tag_tree_for
+from .settings import TrainConfig
+from .tagger import TaggerParams, tag_tree_for
 from .taxonomy import TaxonomyTree
 
 FORMAT_VERSION = 1

@@ -30,11 +30,10 @@ from .schema import (
     Relation,
     relation_signature_allowed,
 )
+from .settings import DEFAULT_DISTANCE_CAP
 
 NONE_KIND = "none"
 OUTPUT_KINDS = RELATION_KINDS + (NONE_KIND,)
-
-DEFAULT_DISTANCE_CAP = 20
 
 # Signed offset dst.start - src.start is bucketed into these inclusive
 # ranges; near offsets get their own bucket, far ones are pooled.

@@ -27,8 +27,10 @@ from hiergraph import (
     TaggerParams,
     TaxonomyTree,
     cli,
+    corpus,
     load_dataset,
     load_taxonomy,
+    model_io,
     save_dataset,
     save_model,
 )
@@ -289,6 +291,35 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("invalid:") and "FOO" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["foo.txt"]
+
+    def test_unwritable_model_leaves_no_log(self, work, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["train", str(work["data"]), "--phase1-epochs", "1", "--phase2-epochs", "1",
+                "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Is a directory" in err
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
+    def test_failed_model_write_keeps_earlier_pair(self, work, tmp_path, monkeypatch, capsys):
+        model = tmp_path / "m.json"
+        log = tmp_path / "m.json.metrics.jsonl"
+        argv = ["train", str(work["data"]), "--phase1-epochs", "1", "--phase2-epochs", "1",
+                "-o", str(model)]
+        assert main(argv) == 0
+        before = model.read_bytes(), log.read_bytes()
+
+        def refuse(*args, **kwargs):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(model_io, "save_model", refuse)
+        # Another seed, so a log written by this run would differ.
+        assert main(argv[:-2] + ["--seed", "5", "-o", str(model)]) == 1
+        assert "No space left on device" in capsys.readouterr().err
+        assert (model.read_bytes(), log.read_bytes()) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [model.name, log.name]
 
     def test_negative_distance_cap(self, work, tmp_path, capsys):
         out = tmp_path / "m.json"
@@ -600,14 +631,14 @@ class TestEvalChildProcess:
         self.assert_reaped(forks)
 
     def test_child_dies_without_result(self, small_path, forks, monkeypatch, capsys):
-        parent, load = os.getpid(), cli.load_dataset
+        parent, load = os.getpid(), corpus.load_dataset
 
         def load_or_die(path):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return load(path)
 
-        monkeypatch.setattr(cli, "load_dataset", load_or_die)
+        monkeypatch.setattr(corpus, "load_dataset", load_or_die)
         assert main(["eval", small_path, small_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -616,14 +647,14 @@ class TestEvalChildProcess:
         self.assert_reaped(forks)
 
     def test_interrupted_parent_kills_child(self, small_path, forks, monkeypatch):
-        parent, load = os.getpid(), cli.load_dataset
+        parent, load = os.getpid(), corpus.load_dataset
 
         def interrupted_in_parent(path):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return load(path)
 
-        monkeypatch.setattr(cli, "load_dataset", interrupted_in_parent)
+        monkeypatch.setattr(corpus, "load_dataset", interrupted_in_parent)
         with pytest.raises(KeyboardInterrupt):
             main(["eval", small_path, small_path])
         assert len(forks) == 1
@@ -937,8 +968,70 @@ def dataset_files(draw):
     return json.dumps(clean).encode(), data
 
 
+# Values of each train setting: ones train accepts and ones it rejects.
+# Every accepted --lr-phase1 exceeds every
+# accepted --lr-phase2; a rejected --lr-phase2 of 1e9 exceeds them all.
+TRAIN_SETTINGS = {
+    "--phase1-epochs": (("0", "1"), ("-1",)),
+    "--phase2-epochs": (("0", "1"), ("-1",)),
+    "--lr-phase1": (("0.1", "0.5"), ("0", "-1", "nan", "inf")),
+    "--lr-phase2": (("0.001", "0.02"), ("0", "-0.5", "nan", "inf", "1e9")),
+    "--seed": (("0", "3"), ("-1",)),
+    "--batch-size": (("1", "8"), ("0", "-2")),
+    "--l2": (("0", "0.01"), ("-1", "nan", "inf")),
+    "--distance-cap": (("0", "20"), ("-1",)),
+}
+
+
+@st.composite
+def train_settings(draw):
+    """Flags for train, and whether the parser refuses them and whether
+    train rejects them: some accepted values, then up to two rejected
+    ones (the last value of a flag counts), now and then a value the
+    parser refuses.  ``--flat`` drops --phase1-epochs."""
+    flat = draw(st.booleans())
+    flags = ["--flat"] if flat else []
+    for flag, (accepted, _) in TRAIN_SETTINGS.items():
+        if draw(st.booleans()):
+            flags += [flag, draw(st.sampled_from(accepted))]
+    rejected = False
+    for flag in draw(st.lists(st.sampled_from(sorted(TRAIN_SETTINGS)), max_size=2)):
+        flags += [flag, draw(st.sampled_from(TRAIN_SETTINGS[flag][1]))]
+        rejected |= not (flat and flag == "--phase1-epochs")
+    refused = draw(st.integers(0, 9)) == 0
+    if refused:
+        flags += [draw(st.sampled_from(sorted(TRAIN_SETTINGS))), draw(st.sampled_from(["x", "", "1.5e"]))]
+    return flags, refused, rejected
+
+
 class TestExitCodeFuzz:
     """Mutated dataset files give a documented exit code, never a traceback."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(train_settings(), dataset_files(), st.sampled_from(["missing", "damaged", "clean"]))
+    def test_train_settings_and_paths(self, drawn, files, path_kind):
+        """A rejected setting exits 2 whatever the data path, and no run
+        leaves a file behind but a finished model and its log."""
+        flags, refused, rejected = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            data = os.path.join(tmp, "data.json")
+            if path_kind != "missing":
+                with open(data, "wb") as fh:
+                    fh.write(files[path_kind == "damaged"])
+            before = sorted(os.listdir(tmp))
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["train", data, *flags, "-o", os.path.join(tmp, "m.json")])
+            assert "Traceback" not in err.getvalue()
+            if refused or rejected:
+                assert code == (1 if refused else 2), (flags, err.getvalue())
+            else:
+                assert code in (0, 1, 2), (flags, err.getvalue())
+            left = sorted(os.listdir(tmp))
+            if code == 0:
+                assert left == sorted(before + ["m.json", "m.json.metrics.jsonl"])
+            else:
+                assert left == before, (flags, err.getvalue())
 
     @settings(max_examples=20, deadline=None)
     @given(dataset_files())

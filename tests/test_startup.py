@@ -1,5 +1,6 @@
-"""Start-up cost: numpy loads only for the commands that do array maths,
-and then on one BLAS thread unless the user chose a count.
+"""Start-up cost: each command runs only the package modules it uses,
+and numpy loads only for the commands that do array maths, and then on
+one BLAS thread unless the user chose a count.
 
 Each check runs in a fresh interpreter, since the test process itself
 has numpy loaded.  The test builds each child's environment: none of
@@ -23,9 +24,26 @@ PACKAGE = ROOT / "src" / "hiergraph"
 SMALL = str(ROOT / "tests" / "fixtures" / "synthetic_small.json")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
+# The package modules every command runs: the CLI, the settings its
+# parser reads, and the lazy binder.
+CLI_MODULES = ("hiergraph", "hiergraph._lazy", "hiergraph.cli", "hiergraph.errors",
+               "hiergraph.settings")
+
+# Sets ``ran`` to the sorted names of the package modules whose code has
+# run.  A lazily bound module's type is ModuleType once it has run;
+# reading any of its attributes would run it.
+RAN = """
+import types
+ran = sorted(
+    n for n, m in sys.modules.items()
+    if n.partition(".")[0] == "hiergraph" and type(m) is types.ModuleType
+)
+"""
+
 # Runs the CLI on argv and prints, as JSON: its exit code, the numpy
 # submodules then in sys.modules, the environment variables it changed,
-# and the process's OS thread count (None without /proc).
+# the process's OS thread count (None without /proc) and the package
+# modules that ran.
 RUN_CLI = """
 import json, os, sys
 before = dict(os.environ)
@@ -42,8 +60,9 @@ changed = {
 }
 task = "/proc/self/task"
 threads = len(os.listdir(task)) if os.path.isdir(task) else None
-print(json.dumps({"code": code, "numpy": loaded, "environ": changed, "threads": threads}),
-      file=sys.stderr)
+""" + RAN + """
+print(json.dumps({"code": code, "numpy": loaded, "environ": changed, "threads": threads,
+                  "ran": ran}), file=sys.stderr)
 """
 
 
@@ -88,11 +107,109 @@ def model(tmp_path_factory):
     ids=lambda argv: " ".join(a for a in argv if a != SMALL),
 )
 def test_annotation_commands_leave_numpy_unloaded(argv, tmp_path):
+    """These commands load no numpy, and run only the CLI's modules,
+    ``corpus`` and ``schema``, and ``evaluation`` for ``eval``."""
     text = tmp_path / "report.txt"
     text.write_text("No acute cardiopulmonary process.\n")
     argv = [a.format(text=text, out=tmp_path / "out.json") for a in argv]
     result = run_cli(*argv)
     assert (result["code"], result["numpy"], result["environ"]) == (0, [], {})
+    uses = {"--version": (), "eval": ("corpus", "evaluation", "schema")}.get(
+        argv[0], ("corpus", "schema")
+    )
+    assert result["ran"] == sorted(CLI_MODULES + tuple(f"hiergraph.{m}" for m in uses))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["--help"], ["frobnicate"], ["eval", SMALL], ["train", SMALL, "--seed", "x", "-o", "m"]],
+    ids=lambda argv: " ".join(a for a in argv if a != SMALL) or "none",
+)
+def test_usage_errors_run_only_the_cli(argv):
+    result = run_cli(*argv)
+    assert result["code"] == (0 if argv == ["--help"] else 1)
+    assert result["ran"] == sorted(CLI_MODULES)
+
+
+# Every submodule the package binds lazily.
+BOUND = ("corpus", "errors", "evaluation", "losses", "model_io", "relations", "schema",
+         "settings", "tagger", "taxonomy")
+
+
+def test_import_runs_no_submodule():
+    """``import hiergraph`` runs only the lazy binder; every submodule is
+    registered in sys.modules all the same, where code that imports
+    ``hiergraph.cli`` and then looks the modules up (the benchmark's
+    tracer) finds them."""
+    done = child(f"""
+import json, sys
+import hiergraph
+{RAN}
+print(json.dumps(ran))
+import hiergraph.cli
+{RAN}
+print(json.dumps(ran))
+print(json.dumps(sorted(n for n in sys.modules if n.startswith("hiergraph."))))
+print("__version__" in vars(hiergraph))
+""")
+    imported, cli_imported, registered, version = done.stdout.splitlines()
+    assert json.loads(imported) == ["hiergraph", "hiergraph._lazy"]
+    assert json.loads(cli_imported) == sorted(CLI_MODULES)
+    assert set(json.loads(registered)) >= {f"hiergraph.{m}" for m in BOUND}
+    assert version == "True"
+
+
+# Each public name the package offers, by the module that defines it.
+PUBLIC_NAMES = {
+    "corpus": "Dataset cohens_kappa dataset_kappa label_statistics load_dataset save_dataset "
+              "to_token_labeling tokenize",
+    "errors": "CycleDetected DepthOutOfRange DocMismatch DuplicateNode EmptyDataset "
+              "FileUnreadable HierGraphError LengthMismatch MalformedRecord ModelFormatError "
+              "MultipleRoots NonFiniteLogit NotALeaf OverlapConflict RootHasNoParent "
+              "TaxonomyConfigError TaxonomyMismatch TrainConfigError TrainingDiverged "
+              "UnknownNode UnknownParent UnknownSplit ValidationError ZeroParentMass",
+    "evaluation": "EvalScores TypeCounts aggregate evaluate_intersection match_entities "
+                  "match_relations",
+    "losses": "LossReport check_loss_gradients check_loss_invariants conditional_hier_loss "
+              "gradient_check unconditional_loss",
+    "model_io": "LoadedModel load_model save_model",
+    "relations": "RelationScorerParams candidate_pairs predict_relations train_relation_scorer",
+    "schema": "ENTITY_LABELS NONE_LABEL RELATION_KINDS Entity Relation ReportGraph parse_report "
+              "prune_to_radgraph1 relation_signature_allowed serialize_report to_dot "
+              "validate_graph",
+    "tagger": "TaggerParams TrainConfig build_vocab decode_entities predict_tags tag_tree_for "
+              "train_two_phase",
+    "taxonomy": "TaxonomyTree argmax_leaf build_tree conditional_probability leaf_distribution "
+                "load_taxonomy propagate",
+}
+
+
+def test_public_names_resolve_to_their_owners():
+    """Each public name resolves, through ``from hiergraph import`` and
+    as an attribute, to its module's object and is listed by ``dir``;
+    the settings the CLI reads keep their old homes too."""
+    child("""
+import importlib, json, sys
+import hiergraph
+listed = dir(hiergraph)
+from hiergraph import evaluation, relations, settings, tagger
+for module, names in json.loads(sys.argv[1]).items():
+    owner = importlib.import_module(f"hiergraph.{module}")
+    for name in names.split():
+        scope = {}
+        exec(f"from hiergraph import {name}", scope)
+        assert scope[name] is getattr(hiergraph, name) is getattr(owner, name), name
+        assert name in listed, name
+assert tagger.TrainConfig is settings.TrainConfig
+assert evaluation.EVAL_MODES is settings.EVAL_MODES
+assert relations.DEFAULT_DISTANCE_CAP is settings.DEFAULT_DISTANCE_CAP
+try:
+    hiergraph.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise SystemExit("hiergraph.no_such_name resolved")
+""", json.dumps(PUBLIC_NAMES))
 
 
 @pytest.mark.parametrize(
