@@ -199,6 +199,14 @@ def _entity_row(label: str) -> str:
     return "ANAT" if label_group(label) == "ANAT" else label
 
 
+# The table's two sections, alike in shape: a name and its rows.
+_SECTIONS = (("entities", ENTITY_ROWS), ("relations", RELATION_KINDS))
+
+
+def _pct(count: int, total: int) -> float:
+    return 100.0 * count / total if total else 0.0
+
+
 @dataclass
 class ColumnStats:
     """Counts for one statistics column (a split, or a split+source)."""
@@ -216,12 +224,20 @@ class ColumnStats:
         return sum(self.relation_counts.values())
 
     def entity_pct(self, row: str) -> float:
-        total = self.total_entities
-        return 100.0 * self.entity_counts.get(row, 0) / total if total else 0.0
+        return _pct(self.entity_counts.get(row, 0), self.total_entities)
 
     def relation_pct(self, kind: str) -> float:
-        total = self.total_relations
-        return 100.0 * self.relation_counts.get(kind, 0) / total if total else 0.0
+        return _pct(self.relation_counts.get(kind, 0), self.total_relations)
+
+    def _sections(self) -> list[tuple[str, list[tuple[str, int, float]], int]]:
+        """Each of ``_SECTIONS`` in this column: its name, a (row, count,
+        percentage) cell per row, and its total."""
+        sections = []
+        for (name, rows), counts in zip(_SECTIONS, (self.entity_counts, self.relation_counts)):
+            total = sum(counts.values())
+            cells = [(row, counts.get(row, 0), _pct(counts.get(row, 0), total)) for row in rows]
+            sections.append((name, cells, total))
+        return sections
 
 
 @dataclass
@@ -229,95 +245,59 @@ class LabelStats:
     columns: list[ColumnStats]
 
     def to_json(self) -> dict:
+        columns = []
+        for c in self.columns:
+            column = {"name": c.name}
+            for name, cells, total in c._sections():
+                column[name] = {row: {"count": n, "pct": round(pct, 1)} for row, n, pct in cells}
+                column[f"total_{name}"] = total
+            columns.append(column)
         return {
             "entity_rows": list(ENTITY_ROWS),
             "relation_rows": list(RELATION_KINDS),
-            "columns": [
-                {
-                    "name": c.name,
-                    "entities": {
-                        row: {
-                            "count": c.entity_counts.get(row, 0),
-                            "pct": round(c.entity_pct(row), 1),
-                        }
-                        for row in ENTITY_ROWS
-                    },
-                    "total_entities": c.total_entities,
-                    "relations": {
-                        kind: {
-                            "count": c.relation_counts.get(kind, 0),
-                            "pct": round(c.relation_pct(kind), 1),
-                        }
-                        for kind in RELATION_KINDS
-                    },
-                    "total_relations": c.total_relations,
-                }
-                for c in self.columns
-            ],
+            "columns": columns,
         }
 
     def to_text(self) -> str:
         """Aligned-column rendering with one-decimal percentages."""
-        header = [""] + [c.name for c in self.columns]
-        rows: list[list[str]] = [header]
-        for row in ENTITY_ROWS:
-            rows.append(
-                [row]
-                + [
-                    f"{c.entity_counts.get(row, 0)} ({c.entity_pct(row):.1f})"
-                    for c in self.columns
-                ]
-            )
-        rows.append(
-            ["Total Entities"]
-            + [f"{c.total_entities} (100.0)" if c.total_entities else "0 (0.0)" for c in self.columns]
-        )
-        for kind in RELATION_KINDS:
-            rows.append(
-                [kind]
-                + [
-                    f"{c.relation_counts.get(kind, 0)} ({c.relation_pct(kind):.1f})"
-                    for c in self.columns
-                ]
-            )
-        rows.append(
-            ["Total Relations"]
-            + [f"{c.total_relations} (100.0)" if c.total_relations else "0 (0.0)" for c in self.columns]
-        )
-        return "\n".join(_aligned(rows)) + "\n"
-
-
-def _column_order(ds: Dataset) -> list[tuple[str, str, str | None]]:
-    """(column name, split, source filter) triples, test split per source."""
-    columns: list[tuple[str, str, str | None]] = []
-    for split in ("train", "validation"):
-        if any(r.split == split for r in ds.reports):
-            columns.append((split, split, None))
-    test_sources = {r.source for r in ds.reports if r.split == "test"}
-    canonical = [s for s in SOURCES if s in test_sources]
-    extra = sorted(test_sources - set(canonical))
-    for source in canonical + extra:
-        columns.append((f"test/{source}", "test", source))
-    return columns
+        labels = [""]
+        for name, rows in _SECTIONS:
+            labels += [*rows, f"Total {name.title()}"]
+        table = [labels]
+        for c in self.columns:
+            cells = [c.name]
+            for _, section, total in c._sections():
+                cells += [f"{n} ({pct:.1f})" for _, n, pct in section]
+                cells.append(f"{total} (100.0)" if total else "0 (0.0)")
+            table.append(cells)
+        return "\n".join(_aligned(list(zip(*table)))) + "\n"
 
 
 def label_statistics(ds: Dataset) -> LabelStats:
-    """Per-column entity and relation label counts with percentages."""
-    columns = []
-    for name, split, source in _column_order(ds):
-        entity_counts: Counter = Counter()
-        relation_counts: Counter = Counter()
-        for report in ds.reports:
-            if report.split != split:
-                continue
-            if source is not None and report.source != source:
-                continue
-            for ent in report.entities.values():
-                entity_counts[_entity_row(ent.label)] += 1
-            for rel in report.relations:
-                relation_counts[rel.kind] += 1
-        columns.append(ColumnStats(name, dict(entity_counts), dict(relation_counts)))
-    return LabelStats(columns)
+    """Per-column entity and relation label counts with percentages,
+    from one pass over the reports.
+
+    The columns are train, validation, then the test split per source:
+    the sources of SOURCES in their order, then any other by name.
+    """
+    counts: dict[str, tuple[Counter, Counter]] = {}
+    for report in ds.reports:
+        if report.split == "test":
+            name = f"test/{report.source}"
+        elif report.split in SPLITS:
+            name = report.split
+        else:
+            continue
+        entity_counts, relation_counts = counts.setdefault(name, (Counter(), Counter()))
+        for ent in report.entities.values():
+            entity_counts[_entity_row(ent.label)] += 1
+        for rel in report.relations:
+            relation_counts[rel.kind] += 1
+    first = ["train", "validation"] + [f"test/{source}" for source in SOURCES]
+    order = [name for name in first if name in counts] + sorted(counts.keys() - set(first))
+    return LabelStats(
+        [ColumnStats(name, dict(counts[name][0]), dict(counts[name][1])) for name in order]
+    )
 
 
 # --- token-level projection and agreement -----------------------------------

@@ -178,6 +178,19 @@ def _macro(per_type: dict[str, TypeCounts]) -> float:
     return sum(included) / len(included) if included else 0.0
 
 
+def _text_row(name: str, c: TypeCounts) -> tuple[str, ...]:
+    """One row of the text score table."""
+    return (
+        name,
+        f"{c.precision:.3f}",
+        f"{c.recall:.3f}",
+        f"{c.f1:.3f}",
+        str(c.tp),
+        str(c.pred),
+        str(c.gold),
+    )
+
+
 @dataclass
 class EvalScores:
     """Aggregated scores with per-type and per-source breakdowns."""
@@ -210,12 +223,17 @@ class EvalScores:
     def relation_f1_macro(self) -> float:
         return _macro(self.relation_kinds)
 
-    def to_json(self) -> dict:
-        doc = {
+    def _f1s(self) -> dict[str, float]:
+        return {
             "entity_f1_micro": self.entity_f1_micro,
             "entity_f1_macro": self.entity_f1_macro,
             "relation_f1_micro": self.relation_f1_micro,
             "relation_f1_macro": self.relation_f1_macro,
+        }
+
+    def to_json(self) -> dict:
+        doc = {
+            **self._f1s(),
             "per_type": {
                 "entities": {
                     t: self.entity_types[t].to_json()
@@ -228,15 +246,7 @@ class EvalScores:
             },
         }
         if self.per_source:
-            doc["per_source"] = {
-                s: {
-                    "entity_f1_micro": sub.entity_f1_micro,
-                    "entity_f1_macro": sub.entity_f1_macro,
-                    "relation_f1_micro": sub.relation_f1_micro,
-                    "relation_f1_macro": sub.relation_f1_macro,
-                }
-                for s, sub in sorted(self.per_source.items())
-            }
+            doc["per_source"] = {s: sub._f1s() for s, sub in sorted(self.per_source.items())}
         return doc
 
     def to_text(self) -> str:
@@ -245,31 +255,8 @@ class EvalScores:
         def section(title: str, per_type: dict[str, TypeCounts]) -> None:
             lines.append(title)
             rows = [("", "P", "R", "F1", "TP", "Pred", "Gold")]
-            for name in sorted(per_type):
-                c = per_type[name]
-                rows.append(
-                    (
-                        name,
-                        f"{c.precision:.3f}",
-                        f"{c.recall:.3f}",
-                        f"{c.f1:.3f}",
-                        str(c.tp),
-                        str(c.pred),
-                        str(c.gold),
-                    )
-                )
-            micro = _micro(per_type)
-            rows.append(
-                (
-                    "micro",
-                    f"{micro.precision:.3f}",
-                    f"{micro.recall:.3f}",
-                    f"{micro.f1:.3f}",
-                    str(micro.tp),
-                    str(micro.pred),
-                    str(micro.gold),
-                )
-            )
+            rows += [_text_row(name, per_type[name]) for name in sorted(per_type)]
+            rows.append(_text_row("micro", _micro(per_type)))
             rows.append(("macro", "", "", f"{_macro(per_type):.3f}", "", "", ""))
             lines.extend(_aligned(rows))
 

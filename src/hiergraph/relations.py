@@ -24,11 +24,11 @@ from ._lazy import numpy as np
 from .corpus import Dataset
 from .errors import EmptyDataset, LengthMismatch, TrainConfigError
 from .schema import (
+    _ALLOWED_TRIPLES,
     ENTITY_LABELS,
     RELATION_KINDS,
     Entity,
     Relation,
-    relation_signature_allowed,
 )
 from .settings import DEFAULT_DISTANCE_CAP
 
@@ -250,13 +250,14 @@ def train_relation_scorer(
 
 def _decode_table(params: RelationScorerParams) -> np.ndarray:
     """Kept kind index per (source label, target label, bucket); -1 where
-    the argmax is "none" or fails the schema signature."""
+    the argmax is "none" or fails the schema signature (no signature
+    allows "none")."""
     src, dst, _ = np.indices(_CELL_SHAPE).reshape(3, -1)
     picks = np.argmax(_cell_features() @ params.weights, axis=1)
     allowed = np.array(
         [
             [
-                [kind != NONE_KIND and relation_signature_allowed(kind, s, d) for d in ENTITY_LABELS]
+                [(kind, s, d) in _ALLOWED_TRIPLES for d in ENTITY_LABELS]
                 for s in ENTITY_LABELS
             ]
             for kind in OUTPUT_KINDS

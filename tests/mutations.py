@@ -1,11 +1,12 @@
 """Hypothesis strategies for wire-format records: valid ones, then broken.
 
-``records()`` draws a well-formed record (entities inside the text,
-matching token text, relations between existing entities) and then
-applies zero to three mutations, each one a way real annotation files
-go wrong: missing keys, values of the wrong JSON type, booleans as span
-indices, spans outside the text, unknown labels and kinds, dangling,
-self and repeated relations, change entities with and without modify
+``records()`` draws a well-formed record (disjoint entity spans inside
+the text, matching token text, relations between two different existing
+entities) and then applies zero to three mutations, each one a way real
+annotation files go wrong: missing keys, values of the wrong JSON type,
+booleans as span indices, spans outside the text or over another
+entity, unknown labels and kinds, dangling, self and repeated
+relations, repeated entities, change entities with and without modify
 relations.  Mutations reach into entities only while the record still
 has the shape to hold them.
 """
@@ -172,13 +173,19 @@ MUTATIONS = (
 
 @st.composite
 def valid_records(draw):
+    """A record the loader accepts: disjoint entity spans, left to right,
+    and relations only between two different entities."""
     tokens = draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8))
     n = len(tokens)
     ids = draw(st.lists(st.sampled_from(IDS), unique=True, max_size=4))
     entities = {}
+    free = 0  # first token no entity covers yet
     for eid in ids:
-        start = draw(st.integers(0, n - 1))
+        if free == n:
+            break
+        start = draw(st.integers(free, n - 1))
         end = draw(st.integers(start, n - 1))
+        free = end + 1
         entities[eid] = {
             "tokens": " ".join(tokens[start : end + 1]),
             "label": draw(st.sampled_from(ENTITY_LABELS)),
@@ -186,8 +193,10 @@ def valid_records(draw):
             "end_ix": end,
             "relations": [],
         }
-    for _ in range(draw(st.integers(0, 5)) if ids else 0):
-        src, dst = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+    placed = sorted(entities)
+    for _ in range(draw(st.integers(0, 5)) if len(placed) > 1 else 0):
+        src = draw(st.sampled_from(placed))
+        dst = draw(st.sampled_from([eid for eid in placed if eid != src]))
         entities[src]["relations"].append([draw(st.sampled_from(RELATION_KINDS)), dst])
     return {
         "text": " ".join(tokens),

@@ -947,8 +947,10 @@ def taxonomy_edges(draw):
 
 @st.composite
 def dataset_files(draw):
-    """A valid dataset file and a mutated copy of it, as bytes."""
+    """A valid dataset file, whose first report is in the train split,
+    and a mutated copy of it, as bytes."""
     clean = {f"r{i}": draw(valid_records()) for i in range(draw(st.integers(1, 3)))}
+    clean["r0"]["split"] = "train"
     doc = json.loads(json.dumps(clean))
     for doc_id in draw(st.lists(st.sampled_from(sorted(doc)), max_size=3)):
         draw(st.sampled_from(MUTATIONS))(draw, doc[doc_id])
@@ -1054,6 +1056,11 @@ class TestExitCodeFuzz:
                 assert code in (0, 1, 2), (argv, err.getvalue())
                 assert "Traceback" not in err.getvalue()
                 assert gc.isenabled()
+            # The clean file is clean: the loader accepts it.
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["stats", clean])
+            assert code == 0, err.getvalue()
 
     @settings(max_examples=20, deadline=None)
     @given(dataset_files(), st.sampled_from([None, "train", "test", "dev,test", "bogus", ","]))

@@ -397,6 +397,33 @@ class TestStatistics:
         stats = label_statistics(small_ds.subset("train"))
         assert [c.name for c in stats.columns] == ["train"]
 
+    def test_sources_outside_schema_follow_by_name(self, small_ds):
+        reports = [replace(r, source={"CheXpert": "Zeta"}.get(r.source, r.source))
+                   for r in small_ds.reports]
+        reports.append(replace(reports[0], doc_id="alpha", split="test", source="Alpha"))
+        reports.insert(0, replace(reports[0], doc_id="val", split="validation"))
+        stats = label_statistics(Dataset(reports))
+        assert [c.name for c in stats.columns] == [
+            "train",
+            "validation",
+            "test/MIMIC-CXR",
+            "test/Alpha",
+            "test/Zeta",
+        ]
+
+    def test_reports_read_once(self, small_ds):
+        class CountingReports(list):
+            iterations = 0
+
+            def __iter__(self):
+                self.iterations += 1
+                return super().__iter__()
+
+        reports = CountingReports(small_ds.reports)
+        stats = label_statistics(Dataset(reports))
+        assert reports.iterations == 1
+        assert stats == label_statistics(small_ds)
+
 
 class TestTokenLabeling:
     def test_projection(self, small_ds):
