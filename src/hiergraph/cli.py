@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import gc
 import json
+import operator
 import os
 import sys
 import types
@@ -107,19 +108,23 @@ def _parse_splits(
 
 
 def _select(
-    ds: corpus.Dataset, splits: tuple[str, ...] | None, path: str
-) -> corpus.Dataset:
-    """The reports of ``ds``, read from ``path``, in ``splits`` (None:
-    all); EmptyDataset, naming the splits the file holds, if none are."""
-    subset = ds if splits is None else ds.subset(splits)
-    if not subset.reports:
-        held = [split for split, ids in ds.partitions.items() if ids]
+    reports: list,
+    splits: tuple[str, ...] | None,
+    path: str,
+    split_of=operator.attrgetter("split"),
+) -> list:
+    """The reports, read from ``path``, whose split (``split_of`` each)
+    is in ``splits`` (None: all); EmptyDataset, naming the splits the
+    file holds, if none are."""
+    chosen = reports if splits is None else [r for r in reports if split_of(r) in splits]
+    if not chosen:
+        held = {split_of(r) for r in reports}
         raise EmptyDataset(
             f"{path} holds no reports"
             + (f" in {', '.join(splits)}" if splits is not None else "")
-            + f" (its splits: {', '.join(held) or 'none'})"
+            + f" (its splits: {', '.join(s for s in schema.SPLITS if s in held) or 'none'})"
         )
-    return subset
+    return chosen
 
 
 # OpenBLAS reads its thread count from the first of these that is set,
@@ -210,7 +215,7 @@ def _cmd_train(args) -> int:
 @_numpy_first
 def _train(args, splits, cfg: TrainConfig) -> int:
     tree = taxonomy.load_taxonomy(args.taxonomy)
-    subset = _select(corpus.load_dataset(args.data), splits, args.data)
+    subset = corpus.Dataset(_select(corpus.load_dataset(args.data).reports, splits, args.data))
 
     metrics_path = f"{args.output}.metrics.jsonl"
     with corpus.atomic_write(metrics_path) as metrics:
@@ -244,8 +249,8 @@ def _train(args, splits, cfg: TrainConfig) -> int:
 def _cmd_predict(args) -> int:
     splits = _parse_splits(args.splits, None)
     model = model_io.load_model(args.model)
-    ds = _select(corpus.load_dataset(args.data), splits, args.data)
-    tokens = [report.tokens for report in ds.reports]
+    reports = _select(corpus.load_dataset(args.data).reports, splits, args.data)
+    tokens = [report.tokens for report in reports]
     entities = [
         tagger.decode_entities(tags, report_tokens, single_token=args.single_token)
         for tags, report_tokens in zip(
@@ -264,7 +269,7 @@ def _cmd_predict(args) -> int:
             relations=tuple(report_relations),
         )
         for report, report_entities, report_relations in zip(
-            ds.reports, entities, predicted_relations
+            reports, entities, predicted_relations
         )
     ]
     corpus.save_dataset(
@@ -345,34 +350,33 @@ def _forked(what: str, func, *args):
             os.waitpid(pid, 0)
 
 
-def _prediction_keys(path: str, splits: tuple[str, ...] | None) -> list[tuple]:
+def _eval_keys(path: str, splits: tuple[str, ...] | None) -> list[tuple]:
     """The match keys of the reports of ``path`` in ``splits``: all that
     strict matching reads of them, as plain tuples that pickle fast."""
-    return [
-        evaluation._match_keys(r)
-        for r in _select(corpus.load_dataset(path), splits, path).reports
-    ]
+    chosen = _select(
+        evaluation.read_match_keys(path), splits, path, split_of=operator.itemgetter(0)
+    )
+    return [keys for _, keys in chosen]
 
 
 def _cmd_eval(args) -> int:
     splits = _parse_splits(args.splits, None)
     # Both processes run these modules: run them once, before the fork.
     _lazy.load(corpus, evaluation)
-    # The prediction file loads in a child while this process loads gold.
-    # Gold is read first, so its errors win as they would in sequence.
-    with _forked(
-        f"loading {args.pred}", _prediction_keys, args.pred, splits
-    ) as prediction_keys:
-        gold = _select(corpus.load_dataset(args.gold), splits, args.gold)
+    # The prediction file is read in a child while this process reads
+    # gold.  Gold is read first, so its errors win as they would in
+    # sequence.
+    with _forked(f"loading {args.pred}", _eval_keys, args.pred, splits) as prediction_keys:
+        gold = _eval_keys(args.gold, splits)
         pred = prediction_keys()
-    common = {r.doc_id for r in gold.reports}.intersection(keys[0] for keys in pred)
+    common = {keys[0] for keys in gold}.intersection(keys[0] for keys in pred)
     if not common:
         print("invalid: no common doc ids to evaluate", file=sys.stderr)
         return EXIT_INVALID
-    # Doc ids are unique within a loaded file, so a side is rebuilt only
-    # when it holds reports outside the intersection.
+    # Doc ids are unique within a file, so a side is filtered only when
+    # it holds reports outside the intersection.
     if len(gold) > len(common):
-        gold = corpus.Dataset([r for r in gold.reports if r.doc_id in common])
+        gold = [keys for keys in gold if keys[0] in common]
     if len(pred) > len(common):
         pred = [keys for keys in pred if keys[0] in common]
     scores = evaluation.evaluate_intersection(

@@ -4,7 +4,7 @@
 the text, matching token text, relations between two different existing
 entities) and then applies zero to three mutations, each one a way real
 annotation files go wrong: missing keys, values of the wrong JSON type,
-booleans as span indices, spans outside the text or over another
+booleans as span indices, spans outside the text or moved onto another
 entity, unknown labels and kinds, dangling, self and repeated
 relations, repeated entities, change entities with and without modify
 relations.  Mutations reach into entities only while the record still
@@ -22,6 +22,9 @@ from hiergraph.schema import ENTITY_LABELS, LABEL_ALIASES, RELATION_KINDS
 VOCAB = ("the", "heart", "is", "enlarged", "no", "new", "effusion")
 IDS = ("a", "b", "c", "d", "e")
 JUNK = (None, 0, 1.5, True, False, "x", [], {}, ["a", "b"], [1], {"k": 1})
+# A fresh copy of a JUNK value on each draw: later mutations append to
+# and set keys on what they drew, which must not change JUNK itself.
+junk = st.sampled_from(JUNK).map(copy.deepcopy)
 LABELS = ENTITY_LABELS + tuple(LABEL_ALIASES) + ("FOO", "CHAN-XYZ", "anat-dp")
 KINDS = RELATION_KINDS + ("causes", "MODIFY")
 SPLIT_VALUES = ("train", "validation", "test", "dev", "valid", "TEST", "bogus")
@@ -61,7 +64,7 @@ def drop_record_key(draw, record):
 
 def retype_record_value(draw, record):
     if isinstance(record, dict):
-        record[draw(st.sampled_from(RECORD_KEYS))] = draw(st.sampled_from(JUNK))
+        record[draw(st.sampled_from(RECORD_KEYS))] = draw(junk)
 
 
 def respell_metadata(draw, record):
@@ -84,13 +87,13 @@ def drop_entity_key(draw, record):
 def retype_entity_field(draw, record):
     ent = _entity(draw, record)
     if ent is not None:
-        ent[draw(st.sampled_from(ENTITY_KEYS))] = draw(st.sampled_from(JUNK))
+        ent[draw(st.sampled_from(ENTITY_KEYS))] = draw(junk)
 
 
 def retype_relations(draw, record):
     ent = _entity(draw, record)
     if ent is not None:
-        ent["relations"] = draw(st.sampled_from(JUNK))
+        ent["relations"] = draw(junk)
 
 
 def boolean_span_index(draw, record):
@@ -146,10 +149,30 @@ def repeat_entity(draw, record):
         entities[draw(st.sampled_from(("x", "y")))] = copy.deepcopy(ent)
 
 
+def move_entity(draw, record):
+    """An entity moved whole onto another entity's tokens, its token text
+    rewritten to match.  It takes the other's label, so a span and label
+    repeat, or has a label of its own, so two labels cover one span."""
+    entities = _entities(record)
+    ids = sorted(eid for eid, ent in (entities or {}).items() if isinstance(ent, dict))
+    if len(ids) < 2:
+        return
+    eid = draw(st.sampled_from(ids))
+    ent, other = entities[eid], entities[draw(st.sampled_from([i for i in ids if i != eid]))]
+    for key in ("start_ix", "end_ix", "tokens"):
+        if key in other:
+            ent[key] = copy.deepcopy(other[key])
+    if draw(st.booleans()):
+        if "label" in other:
+            ent["label"] = copy.deepcopy(other["label"])
+    elif ent.get("label") == other.get("label"):
+        ent["label"] = draw(st.sampled_from([l for l in ENTITY_LABELS if l != ent.get("label")]))
+
+
 def junk_entity(draw, record):
     entities = _entities(record)
     if entities is not None:
-        entities[draw(st.sampled_from(IDS))] = draw(st.sampled_from(JUNK))
+        entities[draw(st.sampled_from(IDS))] = draw(junk)
 
 
 MUTATIONS = (
@@ -167,6 +190,7 @@ MUTATIONS = (
     repeat_relation,
     bad_relation_entry,
     repeat_entity,
+    move_entity,
     junk_entity,
 )
 
@@ -210,7 +234,7 @@ def valid_records(draw):
 def records(draw):
     """A valid record after zero to three mutations; rarely not an object."""
     if draw(st.integers(0, 30)) == 0:
-        return draw(st.sampled_from(JUNK))
+        return draw(junk)
     record = draw(valid_records())
     for _ in range(draw(st.integers(0, 3))):
         draw(st.sampled_from(MUTATIONS))(draw, record)

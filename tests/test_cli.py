@@ -1,7 +1,6 @@
 """End-to-end command-line workflows and exit codes."""
 
 import argparse
-import copy
 import gc
 import io
 import json
@@ -15,6 +14,7 @@ import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from hiergraph import (
     TaggerParams,
     TaxonomyTree,
     cli,
-    corpus,
+    evaluation,
     load_dataset,
     load_taxonomy,
     model_io,
@@ -40,7 +40,7 @@ from hiergraph.relations import FEATURE_DIM, OUTPUT_KINDS, RelationScorerParams
 from hiergraph.schema import GROUPS
 from hiergraph.synth import make_random_corpus, make_separable_corpus, perturb_predictions
 
-from mutations import JUNK, MUTATIONS, valid_records
+from mutations import JUNK, MUTATIONS, junk, valid_records
 
 
 @pytest.fixture(scope="module")
@@ -631,14 +631,14 @@ class TestEvalChildProcess:
         self.assert_reaped(forks)
 
     def test_child_dies_without_result(self, small_path, forks, monkeypatch, capsys):
-        parent, load = os.getpid(), corpus.load_dataset
+        parent, read = os.getpid(), evaluation.read_match_keys
 
-        def load_or_die(path):
+        def read_or_die(path):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return load(path)
+            return read(path)
 
-        monkeypatch.setattr(corpus, "load_dataset", load_or_die)
+        monkeypatch.setattr(evaluation, "read_match_keys", read_or_die)
         assert main(["eval", small_path, small_path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -647,14 +647,14 @@ class TestEvalChildProcess:
         self.assert_reaped(forks)
 
     def test_interrupted_parent_kills_child(self, small_path, forks, monkeypatch):
-        parent, load = os.getpid(), corpus.load_dataset
+        parent, read = os.getpid(), evaluation.read_match_keys
 
         def interrupted_in_parent(path):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return load(path)
+            return read(path)
 
-        monkeypatch.setattr(corpus, "load_dataset", interrupted_in_parent)
+        monkeypatch.setattr(evaluation, "read_match_keys", interrupted_in_parent)
         with pytest.raises(KeyboardInterrupt):
             main(["eval", small_path, small_path])
         assert len(forks) == 1
@@ -958,9 +958,9 @@ def dataset_files(draw):
     if shape == 0:
         doc = draw(st.sampled_from([d for d in JUNK if not isinstance(d, dict)]))
     elif shape == 1:
-        doc["_meta"] = draw(st.sampled_from(JUNK))
+        doc["_meta"] = draw(junk)
     elif shape == 2:
-        doc[draw(st.sampled_from(sorted(doc)))] = draw(st.sampled_from(JUNK))
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(junk)
     data = json.dumps(doc).encode()
     damage = draw(st.integers(0, 9))
     if damage == 0:
@@ -1138,14 +1138,14 @@ def model_files(draw, clean: dict):
         if not isinstance(section, dict) or not section:
             continue
         key = draw(st.sampled_from(sorted(section)))
-        junk = copy.deepcopy(draw(st.sampled_from(JUNK)))
+        value = draw(junk)
         how = draw(st.integers(0, 3))
         if how == 0:
             del section[key]
         elif how == 1 and isinstance(section[key], list) and section[key]:
-            section[key][draw(st.integers(0, len(section[key]) - 1))] = junk
+            section[key][draw(st.integers(0, len(section[key]) - 1))] = value
         else:
-            section[key] = junk
+            section[key] = value
     data = json.dumps(doc).encode()
     damage = draw(st.integers(0, 5))
     if damage == 0:
@@ -1153,6 +1153,91 @@ def model_files(draw, clean: dict):
     elif damage == 1:
         data = b"\xff\xfe" + data
     return data
+
+
+@st.composite
+def clean_eval_files(draw):
+    """A clean gold document of one to three reports, and a clean
+    prediction document of the same reports in which each entity is
+    kept, relabelled, or dropped together with its relations."""
+    gold = {f"r{i}": draw(valid_records()) for i in range(draw(st.integers(1, 3)))}
+    pred = json.loads(json.dumps(gold))
+    for record in pred.values():
+        entities = record["entities"]
+        for eid in sorted(entities):
+            how = draw(st.integers(0, 2))
+            if how == 1:
+                entities[eid]["label"] = draw(st.sampled_from(ENTITY_LABELS))
+            elif how == 2:
+                del entities[eid]
+        for ent in entities.values():
+            ent["relations"] = [rel for rel in ent["relations"] if rel[1] in entities]
+    return gold, pred
+
+
+def _scored(doc: dict, mode: str) -> tuple[int, int]:
+    """How many entities and relations of a clean document ``mode`` scores."""
+    kept = lambda ent: mode == "radgraph2" or not ent["label"].startswith("CHAN")
+    entities = relations = 0
+    for record in doc.values():
+        ents = record["entities"]
+        entities += sum(map(kept, ents.values()))
+        relations += sum(
+            kept(ent) and kept(ents[target])
+            for ent in ents.values()
+            for _, target in ent["relations"]
+        )
+    return entities, relations
+
+
+class TestEvalSuccessFuzz:
+    """On clean files, ``eval`` gives the scores that follow from what the
+    files hold: all through ``main``.  It runs with one usable CPU, so in
+    one process, which keeps each run cheap; TestEvalChildProcess checks
+    that the forked read gives the same output."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(clean_eval_files())
+    def test_eval_invariants(self, files):
+        gold_doc, pred_doc = files
+        one_cpu = mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
+        with one_cpu, tempfile.TemporaryDirectory() as tmp:
+            gold, pred, reversed_pred, pruned_gold, pruned_pred = (
+                os.path.join(tmp, f"{name}.json")
+                for name in ("gold", "pred", "reversed", "pruned-gold", "pruned-pred")
+            )
+            for path, doc in (
+                (gold, gold_doc),
+                (pred, pred_doc),
+                (reversed_pred, dict(reversed(pred_doc.items()))),
+            ):
+                with open(path, "w") as fh:
+                    json.dump(doc, fh)
+
+            def run(*argv) -> str:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    assert main(list(argv)) == 0, (argv, err.getvalue())
+                return out.getvalue()
+
+            for mode in EVAL_MODES:
+                scores = json.loads(run("eval", gold, gold, "--mode", mode, "--json"))
+                entities, relations = _scored(gold_doc, mode)
+                assert scores["entity_f1_micro"] == scores["entity_f1_macro"] == (
+                    1.0 if entities else 0.0
+                )
+                assert scores["relation_f1_micro"] == scores["relation_f1_macro"] == (
+                    1.0 if relations else 0.0
+                )
+                for flags in (["--grouped"], ["--json"]):
+                    argv = ("--mode", mode, *flags)
+                    assert run("eval", gold, reversed_pred, *argv) == run("eval", gold, pred, *argv)
+
+            run("prune", gold, "-o", pruned_gold)
+            run("prune", pred, "-o", pruned_pred)
+            for flags in ([], ["--json"]):
+                argv = ("--mode", "radgraph1-common", *flags)
+                assert run("eval", pruned_gold, pruned_pred, *argv) == run("eval", gold, pred, *argv)
 
 
 class TestModelExitCodeFuzz:

@@ -1,6 +1,8 @@
 """Strict matching, aggregation, and the corpus evaluator."""
 
 import json
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from hiergraph import (
     DocMismatch,
+    HierGraphError,
     TypeCounts,
     aggregate,
     evaluate_intersection,
@@ -17,14 +20,17 @@ from hiergraph import (
 )
 from hiergraph.evaluation import (
     EVAL_MODES,
+    _match_keys,
     _min_count_match,
     evaluate_report,
     grouped_row,
 )
-from hiergraph.corpus import Dataset
+from hiergraph import cli
+from hiergraph.corpus import Dataset, load_dataset
 from hiergraph.schema import SOURCES, prune_to_radgraph1
 from hiergraph.synth import make_random_corpus, perturb_predictions
 
+from mutations import records
 from oracles import (
     brute_entity_counts,
     brute_pooled_f1,
@@ -429,3 +435,86 @@ class TestIntersection:
         assert full.entity_f1_micro < 1.0
         assert common.entity_f1_micro == 1.0
         assert common.relation_f1_micro == 1.0
+
+
+# A report the loader accepts: "new" modifies "effusion".
+CLEAN_ENTITIES = {
+    "a": {"tokens": "effusion", "label": "OBS-DA", "start_ix": 2, "end_ix": 2,
+          "relations": []},
+    "b": {"tokens": "new", "label": "CHAN-NC", "start_ix": 1, "end_ix": 1,
+          "relations": [["modify", "a"]]},
+}
+
+
+def _record(**changes):
+    """The clean report with ``changes`` made to its entities: id ->
+    fields to set (on a copy of entity "a" for a new id), or None to
+    drop the entity."""
+    entities = dict(CLEAN_ENTITIES)
+    for eid, fields in changes.items():
+        base = CLEAN_ENTITIES.get(eid, CLEAN_ENTITIES["a"])
+        entities[eid] = None if fields is None else {**base, **fields}
+    return {
+        "text": "no new effusion",
+        "entities": {eid: ent for eid, ent in entities.items() if ent is not None},
+    }
+
+
+# One record per structural rule; one with the alias spellings of label,
+# split and source and their keys; and one the loader takes although
+# the reader's own test does not: a relation target that is a number
+# but names an entity.
+RULE_RECORDS = {
+    "clean": _record(),
+    "aliases": {**_record(b={"label": "CHAN-IMP"}), "data_split": "Dev", "data_source": "chexpert"},
+    "unknown_label": _record(a={"label": "FOO"}),
+    "unknown_relation_kind": _record(b={"relations": [["causes", "a"]]}),
+    "span_bounds": _record(a={"end_ix": 3}),
+    "token_text": _record(a={"tokens": "new"}),
+    "dangling_relation": _record(b={"relations": [["modify", "zz"]]}),
+    "self_relation": _record(b={"relations": [["modify", "b"]]}),
+    "duplicate_entity": _record(c={}),
+    "numeric_target": _record(a=None, **{"7": {}}, b={"relations": [["modify", 7]]}),
+}
+
+
+# --splits values: every split, one, and two.
+SPLITS_TEXTS = (None, "test", "train,validation")
+
+
+class TestReadMatchKeys:
+    """``eval`` reads each file straight to match keys.  What it reads,
+    or the error it raises, is what the loader, the split selection and
+    ``_match_keys`` give."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return read()
+        except HierGraphError as exc:
+            return type(exc), str(exc)
+
+    def assert_reads_as_loaded(self, drawn, splits_text):
+        splits = cli._parse_splits(splits_text, None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.json")
+            with open(path, "w") as fh:
+                json.dump({f"r{i}": record for i, record in enumerate(drawn)}, fh)
+            read = self.outcome(lambda: cli._eval_keys(path, splits))
+            loaded = self.outcome(
+                lambda: [
+                    _match_keys(r)
+                    for r in cli._select(load_dataset(path).reports, splits, path)
+                ]
+            )
+        assert read == loaded
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(records(), min_size=1, max_size=4), st.sampled_from(SPLITS_TEXTS))
+    def test_drawn_files(self, drawn, splits_text):
+        self.assert_reads_as_loaded(drawn, splits_text)
+
+    @pytest.mark.parametrize("name", sorted(RULE_RECORDS))
+    def test_each_rule(self, name):
+        for splits_text in SPLITS_TEXTS:
+            self.assert_reads_as_loaded([RULE_RECORDS["clean"], RULE_RECORDS[name]], splits_text)
