@@ -88,7 +88,7 @@ def _parse_splits(
     text: str | None, default: tuple[str, ...] | None
 ) -> tuple[str, ...] | None:
     """The splits a ``--splits`` value names, in order, with aliases
-    resolved as the file loader resolves them; ``default`` without one.
+    resolved through the file loader's split table; ``default`` without one.
     None stands for every split."""
     if text is None:
         return default
@@ -97,11 +97,11 @@ def _parse_splits(
         raise UnknownSplit("--splits names no split")
     wanted = []
     for name in names:
-        split = schema.SPLIT_ALIASES.get(name, name)
-        if split not in schema.SPLITS:
+        split = schema._SPLIT_OBJECT.get(name)
+        if split is None:
             raise UnknownSplit(
                 f"unknown split {name!r} in --splits (choose from "
-                f"{', '.join(schema.SPLITS + tuple(schema.SPLIT_ALIASES))})"
+                f"{', '.join(schema._SPLIT_OBJECT)})"
             )
         wanted.append(split)
     return tuple(dict.fromkeys(wanted))

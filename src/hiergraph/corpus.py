@@ -24,6 +24,7 @@ from .schema import (
     RELATION_KINDS,
     SOURCES,
     SPLITS,
+    STRUCTURAL_RULES,
     ReportGraph,
     label_group,
     parse_report,
@@ -98,16 +99,17 @@ def report_records(doc):
 def parse_dataset(doc: dict) -> Dataset:
     """Build a Dataset from a decoded annotation document.
 
-    The first structural violation aborts with the offending doc_id;
-    the other rules (e.g. off-schema relation signatures) are not
-    checked here but left to full validate_graph reporting.
+    The first finding of a STRUCTURAL_RULES rule aborts with the
+    offending doc_id; findings of the other rules (e.g. off-schema
+    relation signatures) do not block loading and are left to
+    ``validate``.
     """
     reports = []
     for doc_id, record in report_records(doc):
         graph = parse_report(doc_id, record)
-        if findings := validate_graph(graph, structural_only=True):
-            v = findings[0]
-            raise ValidationError(doc_id, v.rule, f"{v.subject}: {v.message}")
+        for v in validate_graph(graph):
+            if v.rule in STRUCTURAL_RULES:
+                raise ValidationError(doc_id, v.rule, f"{v.subject}: {v.message}")
         reports.append(graph)
     return Dataset(reports)
 
@@ -127,7 +129,8 @@ def read_json(path: str):
     """The JSON document in a UTF-8 file."""
     try:
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
+    # The decoder raises RecursionError on arrays or objects nested too deep.
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise MalformedRecord("<root>", f"invalid JSON in {path}: {exc}") from exc
 
 

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 from .corpus import _aligned, parse_dataset, read_json, report_records
 from .errors import DocMismatch
-from .schema import (
-    _KIND_OBJECT,
-    _LABEL_OBJECT,
-    _SOURCE_BY_LOWER,
-    _SPLIT_OBJECT,
-    ReportGraph,
-    label_group,
-)
+from .schema import _KIND_OBJECT, _LABEL_OBJECT, ReportGraph, _record_head, label_group
 from .settings import EVAL_MODES
 
 
@@ -120,30 +113,18 @@ def _match_keys(report) -> tuple:
 
 def _record_keys(doc_id: str, record) -> tuple[str, tuple] | None:
     """The split and match keys of a decoded wire-format record that the
-    loader accepts as it stands; None for any record that is not plainly
-    accepted.
+    loader accepts as it stands; None for any other record whose head
+    reads.
 
-    Accepted means that every test the loader applies passes:
-    ``parse_report``'s shape checks (aliases mapped as it maps them) and
-    the STRUCTURAL_RULES of ``validate_graph``.  The keys are those
-    ``_match_keys`` gives of the parsed report.
+    The head is read by ``parse_report``'s own ``_record_head``, whose
+    errors propagate: the loader reads it before any entity, so it would
+    raise the same error first.  Accepted means that every test the
+    loader applies to the entities passes too: ``parse_report``'s shape
+    checks (labels mapped as it maps them) and the STRUCTURAL_RULES of
+    ``validate_graph``.  The keys are those ``_match_keys`` gives of the
+    parsed report.
     """
-    if type(record) is not dict:
-        return None
-    text = record.get("text")
-    split = record.get("split", record.get("data_split", "test"))
-    source = record.get("source", record.get("data_source", "synthetic"))
-    entities = record.get("entities", {})
-    if not (
-        type(text) is str
-        and type(split) is str
-        and type(source) is str
-        and type(entities) is dict
-    ):
-        return None
-    split = _SPLIT_OBJECT.get(split.lower())
-    if split is None:
-        return None
+    text, split, source, entities = _record_head(doc_id, record)
     tokens = tuple(map(sys.intern, text.split()))
     n = len(tokens)
     entity_keys: dict[str, tuple] = {}
@@ -187,7 +168,7 @@ def _record_keys(doc_id: str, record) -> tuple[str, tuple] | None:
             relation_keys.append((_KIND_OBJECT[kind], entity_keys[eid], entity_keys[target]))
     return split, (
         doc_id,
-        _SOURCE_BY_LOWER.get(source.lower(), source),
+        source,
         tokens,
         tuple(entity_keys.values()),
         tuple(relation_keys),
@@ -199,9 +180,10 @@ def read_match_keys(path: str) -> list[tuple[str, tuple]]:
     ``path``, in file order, without building report graphs: what
     ``corpus.load_dataset`` and ``_match_keys`` give.
 
-    A record that ``_record_keys`` does not accept goes through the
-    loader, so it raises the loader's own exception, or, if the loader
-    takes it after all, becomes keys through ``_match_keys``.
+    A record whose head does not read raises ``_record_head``'s error.
+    Any other record that ``_record_keys`` does not accept goes through
+    the loader, so it raises the loader's own exception, or, if the
+    loader takes it after all, becomes keys through ``_match_keys``.
     """
     read = []
     for doc_id, record in report_records(read_json(path)):

@@ -126,7 +126,8 @@ def load_model(path: str) -> LoadedModel:
             doc = json.load(fh)
     except OSError as exc:
         raise FileUnreadable(f"{path}: {exc}") from exc
-    except ValueError as exc:
+    # RecursionError: arrays or objects nested too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: invalid JSON: {exc}") from exc
 
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:

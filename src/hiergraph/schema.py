@@ -8,8 +8,8 @@ The wire format is a single JSON document mapping doc_id to a record:
                           "start_ix": int, "end_ix": int,
                           "relations": [[kind, target_id], ...] } } }
 
-Published RadGraph-style files use "data_split"/"data_source" for the
-two metadata keys; both spellings are accepted on input.  A reserved
+Published RadGraph-style files spell the two metadata keys another way;
+both spellings are accepted on input (see ``_record_head``).  A reserved
 top-level "_meta" key is ignored by parsers so CLI outputs can carry a
 version header.
 """
@@ -219,10 +219,10 @@ class Violation:
     message: str
 
 
-# Rules whose findings (all errors) make a record unloadable: the ones
-# validate_graph checks with structural_only.  Signature errors are
-# semantic and do not block loading (real annotation files contain a
-# few), but they still fail `validate`.
+# Rules whose findings (all errors) make a record unloadable: the loader
+# raises the first of them.  Signature errors are semantic and do not
+# block loading (real annotation files contain a few), but they still
+# fail `validate`.
 STRUCTURAL_RULES = frozenset(
     {
         "unknown_label",
@@ -238,7 +238,8 @@ STRUCTURAL_RULES = frozenset(
 
 # The shared object of each known label (aliases included), relation kind
 # and split.  Parsed reports point at these constants instead of holding
-# a copy of the string each.
+# a copy of the string each.  The split table is also the one list of
+# split names, aliases included, that `--splits` accepts.
 _LABEL_OBJECT = {label: label for label in ENTITY_LABELS}
 _LABEL_OBJECT.update((a, _LABEL_OBJECT[label]) for a, label in LABEL_ALIASES.items())
 _KIND_OBJECT = {kind: kind for kind in RELATION_KINDS}
@@ -246,16 +247,16 @@ _SPLIT_OBJECT = {split: split for split in SPLITS}
 _SPLIT_OBJECT.update((a, _SPLIT_OBJECT[split]) for a, split in SPLIT_ALIASES.items())
 
 
-def parse_report(doc_id: str, record: dict) -> ReportGraph:
-    """Parse one wire-format record; raises MalformedRecord on shape errors.
+def _record_head(doc_id: str, record) -> tuple[str, str, str, dict]:
+    """The text, split, source and entities object of one wire-format
+    record, read before any entity; raises MalformedRecord on a shape
+    error.
 
-    Label/split/source aliases are normalized here.  Semantic problems
-    (bad spans, unknown labels, bad signatures) are left for
-    validate_graph so they can be reported with rule ids.
-
-    Strings that repeat across reports are stored once: known labels,
-    kinds, splits and sources are the module's constants, and tokens,
-    entity text and relation targets are interned.
+    The split and source may also be spelled "data_split" and
+    "data_source", as in published RadGraph files; they default to
+    "test" and "synthetic".  A split is matched without case, aliases
+    included, and comes back as its SPLITS constant; a known source,
+    matched without case, as its SOURCES constant.
     """
     if not isinstance(record, dict):
         raise MalformedRecord(doc_id, "record is not an object")
@@ -277,12 +278,25 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
     source = record.get("source", record.get("data_source", "synthetic"))
     if not isinstance(source, str):
         raise MalformedRecord(doc_id, "'source' is not a string")
-    source = _SOURCE_BY_LOWER.get(source.lower(), source)
 
-    raw_entities = record.get("entities", {})
-    if not isinstance(raw_entities, dict):
+    entities = record.get("entities", {})
+    if not isinstance(entities, dict):
         raise MalformedRecord(doc_id, "'entities' is not an object")
+    return text, split, _SOURCE_BY_LOWER.get(source.lower(), source), entities
 
+
+def parse_report(doc_id: str, record: dict) -> ReportGraph:
+    """Parse one wire-format record; raises MalformedRecord on shape errors.
+
+    Label/split/source aliases are normalized here.  Semantic problems
+    (bad spans, unknown labels, bad signatures) are left for
+    validate_graph so they can be reported with rule ids.
+
+    Strings that repeat across reports are stored once: known labels,
+    kinds, splits and sources are the module's constants, and tokens,
+    entity text and relation targets are interned.
+    """
+    text, split, source, raw_entities = _record_head(doc_id, record)
     entities: dict[str, Entity] = {}
     relations: list[Relation] = []
     for eid, raw in raw_entities.items():
@@ -363,15 +377,8 @@ def _relation_id(rel: Relation) -> str:
     return f"{rel.source_id}-{rel.kind}->{rel.target_id}"
 
 
-def validate_graph(
-    graph: ReportGraph, *, structural_only: bool = False
-) -> list[Violation]:
-    """All rule violations for one graph; empty for conforming graphs.
-
-    With ``structural_only`` only the STRUCTURAL_RULES findings, in the
-    same order: the repeated-relation, signature and change-entity
-    checks, and their bookkeeping, are skipped.
-    """
+def validate_graph(graph: ReportGraph) -> list[Violation]:
+    """All rule violations for one graph; empty for conforming graphs."""
     findings: list[Violation] = []
     tokens = graph.tokens
     n = len(tokens)
@@ -388,7 +395,7 @@ def validate_graph(
                 Violation("unknown_label", "error", eid, f"unknown label {label!r}")
             )
             continue
-        if label in _CHAN_LEAVES and not structural_only:
+        if label in _CHAN_LEAVES:
             modify_only[eid] = None
         start, end = ent.start_ix, ent.end_ix
         if not (0 <= start <= end < n):
@@ -455,8 +462,6 @@ def validate_graph(
                     "entity related to itself",
                 )
             )
-            continue
-        if structural_only:
             continue
         if modify_only.get(src_id, False) is not False:
             modify_only[src_id] = kind == "modify"

@@ -353,18 +353,15 @@ def propagate(tree: TaxonomyTree, dist) -> dict[str, float]:
     if np.any(p < -1e-12) or not math.isclose(float(p.sum()), 1.0, abs_tol=1e-6):
         raise ValueError("not a probability distribution over the leaves")
 
+    # ``nodes`` is breadth-first, so in reverse every child comes before
+    # its parent: no recursion, however deep the tree.
     by_node: dict[str, float] = {}
-
-    def mass(name: str) -> float:
-        node = tree.nodes[name]
-        if node.is_leaf:
-            value = float(p[tree.leaf_index(name)])
+    for name in reversed(tree.nodes):
+        children = tree.nodes[name].children
+        if children:
+            by_node[name] = sum(by_node[c] for c in children)
         else:
-            value = sum(mass(c) for c in node.children)
-        by_node[name] = value
-        return value
-
-    mass(ROOT_NAME)
+            by_node[name] = float(p[tree.leaf_index(name)])
     return by_node
 
 

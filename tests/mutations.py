@@ -198,17 +198,23 @@ MUTATIONS = (
 @st.composite
 def valid_records(draw):
     """A record the loader accepts: disjoint entity spans, left to right,
-    and relations only between two different entities."""
-    tokens = draw(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8))
-    n = len(tokens)
-    ids = draw(st.lists(st.sampled_from(IDS), unique=True, max_size=4))
+    and relations only between two different entities.
+
+    Each span starts at most one token after the previous one ends and
+    covers one or two tokens, so most records hold two or more
+    entities.
+    """
+    n = draw(st.sampled_from(range(10, 0, -1)))
+    tokens = draw(st.lists(st.sampled_from(VOCAB), min_size=n, max_size=n))
+    size = draw(st.sampled_from((5, 4, 3, 2, 1, 0)))
+    ids = draw(st.lists(st.sampled_from(IDS), unique=True, min_size=size, max_size=size))
     entities = {}
     free = 0  # first token no entity covers yet
     for eid in ids:
         if free == n:
             break
-        start = draw(st.integers(free, n - 1))
-        end = draw(st.integers(start, n - 1))
+        start = min(free + draw(st.integers(0, 1)), n - 1)
+        end = min(start + draw(st.integers(0, 1)), n - 1)
         free = end + 1
         entities[eid] = {
             "tokens": " ".join(tokens[start : end + 1]),

@@ -91,6 +91,24 @@ def path_masses(tree, dist):
     return masses
 
 
+def reference_propagate(tree, dist):
+    """Node masses by child recursion, as ``propagate`` computed them
+    before it walked the nodes in reverse breadth-first order."""
+    masses = {}
+
+    def mass(name):
+        node = tree.nodes[name]
+        if node.is_leaf:
+            value = float(dist[tree.leaf_index(name)])
+        else:
+            value = sum(mass(c) for c in node.children)
+        masses[name] = value
+        return value
+
+    mass("ROOT")
+    return masses
+
+
 def reference_subtree_leaf_indices(tree):
     """Node name -> logit indices of its leaves in depth-first child
     order, as ``TaxonomyTree`` collected them before it read them from

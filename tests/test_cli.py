@@ -792,6 +792,47 @@ class TestNotUtf8:
         self._invalid(capsys)
 
 
+class TestDeepJson:
+    """JSON nested deeper than the decoder recurses exits 2 with one
+    ``invalid:`` line, as any other invalid JSON does."""
+
+    @staticmethod
+    def _deep(tmp_path):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 1100)
+        return str(deep)
+
+    @staticmethod
+    def _invalid(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("invalid:") and "invalid JSON" in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "DEEP"],
+            ["stats", "DEEP"],
+            ["train", "DEEP", "-o", "OUT"],
+            ["predict", "MODEL", "DEEP", "-o", "OUT"],
+            ["predict", "DEEP", "DATA", "-o", "OUT"],
+            ["eval", "DEEP", "DATA"],
+            ["eval", "DATA", "DEEP"],
+            ["kappa", "DEEP", "DATA"],
+            ["kappa", "DATA", "DEEP"],
+            ["prune", "DEEP", "-o", "OUT"],
+            ["export-dot", "DEEP", "--doc", "d"],
+        ],
+        ids=" ".join,
+    )
+    def test_command(self, argv, work, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        paths = {"DEEP": self._deep(tmp_path), "DATA": work["data"], "MODEL": work["model"], "OUT": out}
+        assert main([str(paths.get(arg, arg)) for arg in argv]) == 2
+        self._invalid(capsys)
+        assert not out.exists()
+
+
 def test_taxonomy_dir_unreadable(work, tmp_path, monkeypatch, capsys):
     # A directory where the config file should be: open() fails.
     os.mkdir(tmp_path / "mine.txt")
@@ -844,6 +885,15 @@ class TestLossCheck:
     def test_unknown_taxonomy(self, capsys):
         assert main(["loss-check", "--taxonomy", "mystery"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_chain_deeper_than_recursion_limit(self, tmp_path, capsys):
+        depth = sys.getrecursionlimit() + 100
+        lines = ["ROOT n0", "ROOT other"] + [f"n{i} n{i + 1}" for i in range(depth - 1)]
+        chain = tmp_path / "chain.txt"
+        chain.write_text("\n".join(lines) + "\n")
+        code = main(["loss-check", "--taxonomy", str(chain), "--trials", "2"])
+        assert code in (0, 3)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

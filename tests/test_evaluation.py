@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hiergraph import (
     DocMismatch,
     HierGraphError,
+    MalformedRecord,
     TypeCounts,
     aggregate,
     evaluate_intersection,
@@ -22,6 +23,7 @@ from hiergraph.evaluation import (
     EVAL_MODES,
     _match_keys,
     _min_count_match,
+    _record_keys,
     evaluate_report,
     grouped_row,
 )
@@ -460,11 +462,24 @@ def _record(**changes):
     }
 
 
-# One record per structural rule; one with the alias spellings of label,
-# split and source and their keys; and one the loader takes although
-# the reader's own test does not: a relation target that is a number
-# but names an entity.
+# One record per shape error of the record head, which the reader raises
+# itself.
+HEAD_RECORDS = {
+    "not_object": ["no new effusion"],
+    "missing_text": {"entities": {}},
+    "text_not_string": {**_record(), "text": ["no", "new", "effusion"]},
+    "split_not_string": {**_record(), "split": 1},
+    "source_not_string": {**_record(), "data_source": None},
+    "unknown_split": {**_record(), "data_split": "Holdout"},
+    "entities_not_object": {**_record(), "entities": []},
+}
+
+# Those; one record per structural rule; one with the alias spellings of
+# label, split and source and their keys; and one the loader takes
+# although the reader's own test does not: a relation target that is a
+# number but names an entity.
 RULE_RECORDS = {
+    **HEAD_RECORDS,
     "clean": _record(),
     "aliases": {**_record(b={"label": "CHAN-IMP"}), "data_split": "Dev", "data_source": "chexpert"},
     "unknown_label": _record(a={"label": "FOO"}),
@@ -518,3 +533,12 @@ class TestReadMatchKeys:
     def test_each_rule(self, name):
         for splits_text in SPLITS_TEXTS:
             self.assert_reads_as_loaded([RULE_RECORDS["clean"], RULE_RECORDS[name]], splits_text)
+
+    @pytest.mark.parametrize("name", sorted(HEAD_RECORDS))
+    def test_head_error_raised_by_reader(self, name):
+        record = HEAD_RECORDS[name]
+        with pytest.raises(MalformedRecord) as loaded:
+            parse_report("r1", record)
+        with pytest.raises(MalformedRecord) as read:
+            _record_keys("r1", record)
+        assert str(read.value) == str(loaded.value)

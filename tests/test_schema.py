@@ -18,6 +18,7 @@ from hiergraph import (
     Relation,
     ReportGraph,
     TypeCounts,
+    ValidationError,
     parse_report,
     prune_to_radgraph1,
     relation_signature_allowed,
@@ -25,7 +26,7 @@ from hiergraph import (
     to_dot,
     validate_graph,
 )
-from hiergraph.corpus import TokenLabeling
+from hiergraph.corpus import TokenLabeling, parse_dataset
 from hiergraph.evaluation import ReportCounts
 from hiergraph.schema import (
     SPLITS,
@@ -554,9 +555,39 @@ class TestAgainstReference:
         assert got.relations == want.relations  # declaration order too
         findings = reference_validate_graph(want)
         assert validate_graph(got) == findings
-        assert validate_graph(got, structural_only=True) == [
-            v for v in findings if v.rule in STRUCTURAL_RULES
-        ]
+        # The loader raises the first structural finding, and only that.
+        structural = [v for v in findings if v.rule in STRUCTURAL_RULES]
+        if structural:
+            with pytest.raises(ValidationError) as raised:
+                parse_dataset({"doc": record})
+            v = structural[0]
+            assert str(raised.value) == f"doc: [{v.rule}] {v.subject}: {v.message}"
+        else:
+            assert parse_dataset({"doc": record}).reports == [want]
+
+
+class TestLoadingRules:
+    """Which findings block loading is stated once, by STRUCTURAL_RULES."""
+
+    def test_first_structural_finding_raises(self):
+        rec = make_record()
+        # 1 -located_at-> 2 has a bad signature and comes first;
+        # 2 -modify-> 2 relates an entity to itself.
+        rec["entities"]["1"]["relations"] = [["located_at", "2"]]
+        rec["entities"]["2"]["relations"].append(["modify", "2"])
+        rules = [v.rule for v in validate_graph(parse_report("d", rec))]
+        assert rules == ["bad_signature", "self_relation"]
+        with pytest.raises(ValidationError) as raised:
+            parse_dataset({"d": rec})
+        assert raised.value.rule == "self_relation"
+        assert str(raised.value) == "d: [self_relation] 2-modify->2: entity related to itself"
+
+    def test_signature_errors_alone_load(self):
+        rec = make_record()
+        rec["entities"]["1"]["relations"] = [["located_at", "2"]]
+        findings = validate_graph(parse_report("d", rec))
+        assert [(v.rule, v.severity) for v in findings] == [("bad_signature", "error")]
+        assert parse_dataset({"d": rec}).reports == [parse_report("d", rec)]
 
 
 # One value of each frozen record, as positional arguments.

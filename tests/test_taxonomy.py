@@ -1,6 +1,7 @@
 """Tree construction, validation, and probability propagation."""
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from hiergraph import (
 )
 from hiergraph.taxonomy import SHIPPED_CONFIGS
 
-from oracles import path_masses, reference_subtree_leaf_indices
+from oracles import path_masses, reference_propagate, reference_subtree_leaf_indices
 
 SMALL = """
 ROOT A
@@ -322,6 +323,25 @@ class TestProbabilities:
                 assert masses.keys() == expect.keys()
                 for name in masses:
                     assert masses[name] == pytest.approx(expect[name], abs=1e-12)
+
+    def test_propagate_equals_recursive_version(self):
+        rng = np.random.default_rng(13)
+        trees = [load_taxonomy(name) for name in SHIPPED_CONFIGS]
+        trees += [tag_tree_for(tree) for tree in trees] + [random_tree(rng) for _ in range(20)]
+        for tree in trees:
+            for _ in range(10):
+                dist = leaf_distribution(tree, rng.normal(size=len(tree.leaves)) * 3)
+                # Same floats; dict equality ignores the order of the keys.
+                assert propagate(tree, dist) == reference_propagate(tree, dist)
+
+    def test_propagate_deeper_than_recursion_limit(self):
+        depth = sys.getrecursionlimit() + 100
+        edges = [("ROOT", "n0"), ("ROOT", "other")]
+        edges += [(f"n{i}", f"n{i + 1}") for i in range(depth - 1)]
+        tree = TaxonomyTree.from_edges(edges)
+        masses = propagate(tree, [0.25, 0.75])
+        assert masses["ROOT"] == 1.0 and masses["n0"] == 0.75
+        assert masses[f"n{depth - 1}"] == 0.75
 
     def test_propagate_random_shapes(self):
         rng = np.random.default_rng(5)
