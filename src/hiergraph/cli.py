@@ -118,12 +118,7 @@ def _select(
     file holds, if none are."""
     chosen = reports if splits is None else [r for r in reports if split_of(r) in splits]
     if not chosen:
-        held = {split_of(r) for r in reports}
-        raise EmptyDataset(
-            f"{path} holds no reports"
-            + (f" in {', '.join(splits)}" if splits is not None else "")
-            + f" (its splits: {', '.join(s for s in schema.SPLITS if s in held) or 'none'})"
-        )
+        raise corpus.empty_selection(path, splits, {split_of(r) for r in reports})
     return chosen
 
 
@@ -215,7 +210,7 @@ def _cmd_train(args) -> int:
 @_numpy_first
 def _train(args, splits, cfg: TrainConfig) -> int:
     tree = taxonomy.load_taxonomy(args.taxonomy)
-    subset = corpus.Dataset(_select(corpus.load_dataset(args.data).reports, splits, args.data))
+    subset = corpus.load_dataset(args.data, splits)
 
     metrics_path = f"{args.output}.metrics.jsonl"
     with corpus.atomic_write(metrics_path) as metrics:
@@ -249,7 +244,9 @@ def _train(args, splits, cfg: TrainConfig) -> int:
 def _cmd_predict(args) -> int:
     splits = _parse_splits(args.splits, None)
     model = model_io.load_model(args.model)
-    reports = _select(corpus.load_dataset(args.data).reports, splits, args.data)
+    reports = corpus.load_dataset(args.data, splits).reports
+    if not reports:  # every split was selected, and the file holds none
+        raise corpus.empty_selection(args.data, splits, ())
     tokens = [report.tokens for report in reports]
     entities = [
         tagger.decode_entities(tags, report_tokens, single_token=args.single_token)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DocMismatch,
+    EmptyDataset,
     FileUnreadable,
     LengthMismatch,
     MalformedRecord,
@@ -26,6 +27,8 @@ from .schema import (
     SPLITS,
     STRUCTURAL_RULES,
     ReportGraph,
+    _record_head,
+    _record_keys,
     label_group,
     parse_report,
     serialize_report,
@@ -96,22 +99,22 @@ def report_records(doc):
             yield doc_id, record
 
 
-def parse_dataset(doc: dict) -> Dataset:
-    """Build a Dataset from a decoded annotation document.
+def _loaded(doc_id: str, record) -> ReportGraph:
+    """The graph of one record.  Its first finding of a STRUCTURAL_RULES
+    rule raises ValidationError; findings of the other rules (e.g.
+    off-schema relation signatures) do not block loading and are left
+    to ``validate``."""
+    graph = parse_report(doc_id, record)
+    for v in validate_graph(graph):
+        if v.rule in STRUCTURAL_RULES:
+            raise ValidationError(doc_id, v.rule, f"{v.subject}: {v.message}")
+    return graph
 
-    The first finding of a STRUCTURAL_RULES rule aborts with the
-    offending doc_id; findings of the other rules (e.g. off-schema
-    relation signatures) do not block loading and are left to
-    ``validate``.
-    """
-    reports = []
-    for doc_id, record in report_records(doc):
-        graph = parse_report(doc_id, record)
-        for v in validate_graph(graph):
-            if v.rule in STRUCTURAL_RULES:
-                raise ValidationError(doc_id, v.rule, f"{v.subject}: {v.message}")
-        reports.append(graph)
-    return Dataset(reports)
+
+def parse_dataset(doc: dict) -> Dataset:
+    """Build a Dataset from a decoded annotation document; the first
+    record that does not load raises, naming its doc_id."""
+    return Dataset([_loaded(doc_id, record) for doc_id, record in report_records(doc)])
 
 
 def read_text(path: str) -> str:
@@ -134,8 +137,41 @@ def read_json(path: str):
         raise MalformedRecord("<root>", f"invalid JSON in {path}: {exc}") from exc
 
 
-def load_dataset(path: str) -> Dataset:
-    return parse_dataset(read_json(path))
+def empty_selection(path: str, splits, held) -> EmptyDataset:
+    """The error for selecting no report of ``splits`` (None: every
+    split) from ``path``, whose reports lie in the splits ``held``."""
+    return EmptyDataset(
+        f"{path} holds no reports"
+        + (f" in {', '.join(splits)}" if splits is not None else "")
+        + f" (its splits: {', '.join(s for s in SPLITS if s in held) or 'none'})"
+    )
+
+
+def load_dataset(path: str, splits=None) -> Dataset:
+    """The reports of the annotation file ``path``; with ``splits``, only
+    those in these splits, and EmptyDataset (``empty_selection``) if
+    there are none.
+
+    Every record is checked, in file order, so a file fails as it would
+    unselected.  A record outside ``splits`` builds no graph: it passes
+    the key reader's acceptance test (``schema._record_keys``), or else
+    is loaded as any other record and dropped, so that a record the
+    loader refuses raises the loader's own error.
+    """
+    doc = read_json(path)
+    if splits is None:
+        return parse_dataset(doc)
+    reports, held = [], set()
+    for doc_id, record in report_records(doc):
+        split = _record_head(doc_id, record)[1]
+        held.add(split)
+        if split in splits:
+            reports.append(_loaded(doc_id, record))
+        elif _record_keys(doc_id, record) is None:
+            _loaded(doc_id, record)
+    if not reports:
+        raise empty_selection(path, splits, held)
+    return Dataset(reports)
 
 
 @contextmanager

@@ -80,35 +80,45 @@ def _rows(tree: TaxonomyTree, logits, gold_leaf):
 
 
 def _report(
-    tree: TaxonomyTree, mask: np.ndarray, mass: np.ndarray, grad: np.ndarray, one: bool
+    tree: TaxonomyTree,
+    mask: np.ndarray,
+    mass: np.ndarray,
+    floored: np.ndarray,
+    grad: np.ndarray,
+    one: bool,
 ) -> LossReport:
     """-log of every masked node mass, filed by depth, then clamped row by row.
 
-    A row is pinned at the ceiling when a masked mass underflowed or its
-    total overran it; its components and gradient are rescaled in
-    proportion so its per-depth sum still equals its loss.
+    ``floored`` is ``np.maximum(mass, TINY)``.  A row is pinned at the
+    ceiling when a masked mass underflowed or its total overran it; its
+    components and gradient are rescaled in proportion so its per-depth
+    sum still equals its loss.  With no row pinned the scale would be
+    exactly 1.0, so nothing is rescaled.
     """
-    terms = np.where(mask, -np.log(np.maximum(mass, TINY)), 0.0)
+    terms = np.where(mask, -np.log(floored), 0.0)
     # Each row masks at most one node per depth, so this matmul only
     # moves terms into depth columns and rounds nothing.
     comps = terms @ tree.depth_onehot
     totals = comps.sum(axis=1)
     clamped = (mask & (mass < TINY)).any(axis=1) | (totals > LOSS_CEILING)
-    scale = LOSS_CEILING / np.where(clamped, totals, LOSS_CEILING)
-    comps *= scale[:, None]
-    grad *= scale[:, None]
-    losses = np.where(clamped, LOSS_CEILING, totals)
+    if clamped.any():
+        scale = LOSS_CEILING / np.where(clamped, totals, LOSS_CEILING)
+        comps *= scale[:, None]
+        grad *= scale[:, None]
+        totals = np.where(clamped, LOSS_CEILING, totals)
     depths = sorted({0, *tree.node_depths[mask.any(axis=0)].tolist()})
     if one:
         return LossReport(
-            loss=float(losses[0]),
+            loss=float(totals[0]),
             per_depth={d: float(comps[0, d]) for d in depths},
             grad=grad[0],
             clamped=bool(clamped[0]),
         )
+    # Each depth's column, laid out contiguously, sums as it would alone.
+    sums = np.ascontiguousarray(comps.T).sum(axis=1)
     return LossReport(
-        loss=float(losses.sum()),
-        per_depth={d: float(comps[:, d].sum()) for d in depths},
+        loss=float(totals.sum()),
+        per_depth={d: float(sums[d]) for d in depths},
         grad=grad,
         clamped=int(clamped.sum()),
     )
@@ -127,12 +137,13 @@ def conditional_hier_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     """
     probs, gold, mass = _rows(tree, logits, gold_leaf)
     mask = tree.path_masks[gold]
+    floored = np.maximum(mass, TINY)
     # d/dx of -log(sum_{i in S} softmax_i), summed over the path nodes S:
     # softmax once per node, minus softmax_i / mass(S) inside each subtree.
     grad = mask.sum(axis=1, keepdims=True) * probs - probs * (
-        (mask / np.maximum(mass, TINY)) @ tree.ancestors.T
+        (mask / floored) @ tree.ancestors.T
     )
-    return _report(tree, mask, mass, grad, np.ndim(logits) == 1)
+    return _report(tree, mask, mass, floored, grad, np.ndim(logits) == 1)
 
 
 def unconditional_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
@@ -146,7 +157,7 @@ def unconditional_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     mask = tree.leaf_masks[gold]
     grad = probs.copy()
     grad[np.arange(len(gold)), gold] -= 1.0
-    return _report(tree, mask, mass, grad, np.ndim(logits) == 1)
+    return _report(tree, mask, mass, np.maximum(mass, TINY), grad, np.ndim(logits) == 1)
 
 
 def gradient_check(fn, x) -> float:

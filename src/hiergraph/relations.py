@@ -216,15 +216,23 @@ def _training_pairs(ds: Dataset, cap: int):
 _TRAIN_STEPS = 300
 
 
-def _share_loss(weights, x, share, l2: float):
-    """Mean pair cross-entropy plus ``l2 / 2 * |weights|^2``, and its
-    gradient, from the cell features ``x`` and pair shares ``share``."""
+def _log_softmax_grad(weights, x, share, cell_share, l2: float):
+    """The kind log-softmax of each cell, and the gradient of
+    ``_share_loss``, from the cell features ``x``, pair shares ``share``
+    and each cell's total share ``cell_share`` (``share``'s row sums,
+    kept as a column).  Training steps read only the gradient."""
     scores = x @ weights
     scores -= scores.max(axis=1, keepdims=True)
     log_p = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
-    loss = -(share * log_p).sum() + 0.5 * l2 * (weights**2).sum()
-    resid = share.sum(axis=1, keepdims=True) * np.exp(log_p) - share
-    return loss, x.T @ resid + l2 * weights
+    resid = cell_share * np.exp(log_p) - share
+    return log_p, x.T @ resid + l2 * weights
+
+
+def _share_loss(weights, x, share, l2: float):
+    """Mean pair cross-entropy plus ``l2 / 2 * |weights|^2``, and its
+    gradient, from the cell features ``x`` and pair shares ``share``."""
+    log_p, grad = _log_softmax_grad(weights, x, share, share.sum(axis=1, keepdims=True), l2)
+    return -(share * log_p).sum() + 0.5 * l2 * (weights**2).sum(), grad
 
 
 def train_relation_scorer(
@@ -240,11 +248,13 @@ def train_relation_scorer(
     if cap < 0:
         raise TrainConfigError("distance cap must be >= 0")
     x, share = _training_pairs(ds, cap)
+    cell_share = share.sum(axis=1, keepdims=True)
     step = 1.0 / (0.5 * (x**2).sum(axis=1).max() + l2)
     weights = prev = np.zeros((FEATURE_DIM, len(OUTPUT_KINDS)))
     for k in range(_TRAIN_STEPS):
         ahead = weights + k / (k + 3) * (weights - prev)
-        prev, weights = weights, ahead - step * _share_loss(ahead, x, share, l2)[1]
+        grad = _log_softmax_grad(ahead, x, share, cell_share, l2)[1]
+        prev, weights = weights, ahead - step * grad
     return RelationScorerParams(weights=weights, distance_cap=cap)
 
 

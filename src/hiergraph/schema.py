@@ -350,6 +350,72 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
     )
 
 
+def _record_keys(doc_id: str, record) -> tuple[str, tuple] | None:
+    """The split and match keys of a decoded wire-format record that the
+    loader accepts as it stands; None for any other record whose head
+    reads.  This is the acceptance test of both readers that skip
+    building graphs: ``eval``'s key reader, and ``corpus.load_dataset``
+    for the records outside the splits it selects.
+
+    The head is read by ``parse_report``'s own ``_record_head``, whose
+    errors propagate: the loader reads it before any entity, so it would
+    raise the same error first.  Accepted means that every test the
+    loader applies to the entities passes too: ``parse_report``'s shape
+    checks (labels mapped as it maps them) and the STRUCTURAL_RULES of
+    ``validate_graph``.  The keys are those ``evaluation._match_keys``
+    gives of the parsed report.
+    """
+    text, split, source, entities = _record_head(doc_id, record)
+    tokens = tuple(map(sys.intern, text.split()))
+    n = len(tokens)
+    entity_keys: dict[str, tuple] = {}
+    related = []  # (source id, relation list) of each entity with relations
+    for eid, ent in entities.items():
+        if type(ent) is not dict:
+            return None
+        label = ent.get("label")
+        start, end = ent.get("start_ix"), ent.get("end_ix")
+        rels = ent.get("relations", [])
+        if not (
+            type(label) is str
+            and label in _LABEL_OBJECT  # unknown_label
+            and type(start) is int
+            and type(end) is int
+            and 0 <= start <= end < n  # span_bounds
+            # token_text; a missing or non-string text differs from any span
+            and ent.get("tokens") == " ".join(tokens[start : end + 1])
+            and type(rels) is list
+        ):
+            return None
+        entity_keys[eid] = (_LABEL_OBJECT[label], start, end)
+        if rels:
+            related.append((eid, rels))
+    if len(set(entity_keys.values())) < len(entity_keys):  # duplicate_entity
+        return None
+    relation_keys = []
+    for eid, rels in related:
+        for item in rels:
+            if type(item) is not list or len(item) != 2:
+                return None
+            kind, target = item
+            if not (
+                type(kind) is str
+                and kind in _KIND_OBJECT  # unknown_relation_kind
+                and type(target) is str
+                and target in entity_keys  # dangling_relation
+                and target != eid  # self_relation
+            ):
+                return None
+            relation_keys.append((_KIND_OBJECT[kind], entity_keys[eid], entity_keys[target]))
+    return split, (
+        doc_id,
+        source,
+        tokens,
+        tuple(entity_keys.values()),
+        tuple(relation_keys),
+    )
+
+
 def serialize_report(graph: ReportGraph) -> dict:
     """Wire-format record for one graph; relations grouped under sources."""
     by_source: dict[str, list[list[str]]] = {eid: [] for eid in graph.entities}

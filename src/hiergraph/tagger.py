@@ -116,6 +116,15 @@ def _embedding_grad(params: TaggerParams, d_phi: np.ndarray) -> np.ndarray:
     return padded[w : w + t]
 
 
+def _scatter_rows(token_ids: np.ndarray, grads: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n_rows, E) sums of the (T, E) rows ``grads``, row t added into
+    row ``token_ids[t]``, in order: the bits of ``np.add.at`` on zeros,
+    by one ``np.bincount`` over the flat cells ``token_id * E + column``."""
+    e = grads.shape[1]
+    cells = (token_ids[:, None] * e + np.arange(e)).ravel()
+    return np.bincount(cells, weights=grads.ravel(), minlength=n_rows * e).reshape(n_rows, e)
+
+
 def _blocks(reports: list[np.ndarray], window: int):
     """The token-id arrays ``reports``, in order, in blocks of at most
     ``_BLOCK_TOKENS`` tokens; a longer report is a block alone.
@@ -185,9 +194,10 @@ def _run_phase(
     as one matrix, in report order.  On the way back each block's
     gradient is scattered to its real rows (gap rows stay zero), gives
     one weight-gradient GEMM, one feature-gradient GEMM and one
-    ``_embedding_grad``, and its real tokens' rows are added into the
-    embedding gradient.  The gap bookkeeping only touches arrays one
-    embedding or one leaf row wide, never the window features.
+    ``_embedding_grad``; the real tokens' rows of all blocks are added
+    into the embedding gradient by one ``_scatter_rows``.  The gap
+    bookkeeping only touches arrays one embedding or one leaf row wide,
+    never the window features.
 
     Returns the last epoch's record, or None when ``epochs`` is zero.
     """
@@ -231,16 +241,21 @@ def _run_phase(
             for d, v in report.per_depth.items():
                 depth_sums[d] = depth_sums.get(d, 0.0) + v
 
-            d_emb = np.zeros_like(params.embeddings)
             d_w = np.zeros_like(params.weights)
             ends = np.cumsum([len(token_ids) for token_ids, _, _ in blocks])
+            d_rows = []
             for (token_ids, rows, length), phi, g_real in zip(
                 blocks, feats, np.split(report.grad, ends[:-1])
             ):
                 g = np.zeros((length, n_leaves))
                 g[rows] = g_real
                 d_w += phi.T @ g
-                np.add.at(d_emb, token_ids, _embedding_grad(params, g @ params.weights.T)[rows])
+                d_rows.append(_embedding_grad(params, g @ params.weights.T)[rows])
+            d_emb = _scatter_rows(
+                np.concatenate([ids for ids, _, _ in blocks]),
+                np.concatenate(d_rows),
+                len(params.embeddings),
+            )
             n = int(ends[-1])
             token_count += n
             d_w /= n

@@ -125,20 +125,21 @@ class TaxonomyTree:
             parent_of[child] = parent
             children_of.setdefault(parent, []).append(child)
 
-        names = set(parent_of) | set(children_of)
-        # Cycle check: follow parent links; a chain longer than the node
-        # count must have revisited something.
-        for name in names:
-            seen = set()
-            cur: str | None = name
-            while cur is not None:
-                if cur in seen:
-                    raise CycleDetected(f"cycle through node {cur!r}")
-                seen.add(cur)
+        # Cycle check, one pass: follow parent links from each child in
+        # edge order, stopping at a node an earlier walk already cleared.
+        # A walk that meets its own node has found a cycle; the node named
+        # is the first one met twice, which the edge order fixes.
+        walk_of: dict[str, int] = {}
+        for walk, (_, child) in enumerate(edges):
+            cur: str | None = child
+            while cur is not None and cur not in walk_of:
+                walk_of[cur] = walk
                 cur = parent_of.get(cur)
+            if cur is not None and walk_of[cur] == walk:
+                raise CycleDetected(f"cycle through node {cur!r}")
 
         if ROOT_NAME not in children_of:
-            roots = sorted(n for n in names if n not in parent_of)
+            roots = sorted(n for n in children_of if n not in parent_of)
             raise MultipleRoots(
                 f"mandatory root {ROOT_NAME!r} absent; found root(s) {roots}"
             )
@@ -201,7 +202,9 @@ class TaxonomyTree:
 
     @cached_property
     def depth_onehot(self) -> np.ndarray:
-        return _read_only(np.eye(self.max_depth + 1)[self.node_depths])
+        onehot = np.zeros((len(self.mass_nodes), self.max_depth + 1))
+        onehot[np.arange(len(onehot)), self.node_depths] = 1.0
+        return _read_only(onehot)
 
     @cached_property
     def leaf_masks(self) -> np.ndarray:

@@ -82,6 +82,29 @@ def mp_unconditional_loss(tree, logits, gold):
     return -mp.log(probs[tree.leaf_index(gold)])
 
 
+def reference_report(tree, mask, mass, grad, one):
+    """``losses._report`` as first batched: every row rescaled (by
+    exactly 1.0 when it is not clamped), the masses floored again, and
+    each depth's column summed on its own.  Scales ``grad`` in place, as
+    ``_report`` does; returns (loss, per_depth, grad, clamped)."""
+    from hiergraph.losses import LOSS_CEILING, TINY
+
+    terms = np.where(mask, -np.log(np.maximum(mass, TINY)), 0.0)
+    comps = terms @ tree.depth_onehot
+    totals = comps.sum(axis=1)
+    clamped = (mask & (mass < TINY)).any(axis=1) | (totals > LOSS_CEILING)
+    scale = LOSS_CEILING / np.where(clamped, totals, LOSS_CEILING)
+    comps *= scale[:, None]
+    grad *= scale[:, None]
+    losses = np.where(clamped, LOSS_CEILING, totals)
+    depths = sorted({0, *tree.node_depths[mask.any(axis=0)].tolist()})
+    if one:
+        return (float(losses[0]), {d: float(comps[0, d]) for d in depths}, grad[0],
+                bool(clamped[0]))
+    return (float(losses.sum()), {d: float(comps[:, d].sum()) for d in depths}, grad,
+            int(clamped.sum()))
+
+
 def path_masses(tree, dist):
     """Node masses computed from root paths, not child recursion."""
     masses = {name: 0.0 for name in tree.nodes}

@@ -1290,6 +1290,56 @@ class TestEvalSuccessFuzz:
                 assert run("eval", pruned_gold, pruned_pred, *argv) == run("eval", gold, pred, *argv)
 
 
+@st.composite
+def clean_train_files(draw):
+    """A clean document of two to five reports, at least one of them in
+    each of the train and test splits, in drawn order."""
+    doc = {f"r{i}": draw(valid_records()) for i in range(draw(st.integers(2, 5)))}
+    first, second = draw(st.sampled_from([("r0", "r1"), ("r1", "r0")]))
+    doc[first]["split"], doc[second]["split"] = "train", "test"
+    return doc
+
+
+class TestTrainPredictSuccessFuzz:
+    """On clean files, ``train`` and ``predict`` do what they promise,
+    all through ``main``: one seed gives one model and one log, and the
+    predictions cover exactly the selected reports, keep their tokens
+    and pass ``validate``."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(clean_train_files(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_train_twice_then_predict(self, doc, seed, single_token):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, pred = os.path.join(tmp, "data.json"), os.path.join(tmp, "pred.json")
+            with open(data, "w") as fh:
+                json.dump(doc, fh)
+
+            def run(*argv):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    assert main(list(argv)) == 0, (argv, err.getvalue())
+
+            written = []
+            for name in ("a.json", "b.json"):
+                model = os.path.join(tmp, name)
+                run("train", data, "--splits", "train", "--seed", str(seed),
+                    "--phase1-epochs", "2", "--phase2-epochs", "1", "-o", model)
+                written.append(
+                    [Path(path).read_bytes() for path in (model, f"{model}.metrics.jsonl")]
+                )
+            assert written[0] == written[1]
+
+            run("predict", os.path.join(tmp, "a.json"), data, "--splits", "test",
+                *(["--single-token"] if single_token else []), "-o", pred)
+            with open(pred) as fh:
+                predicted = json.load(fh)
+            predicted.pop("_meta")
+            assert list(predicted) == [d for d, r in doc.items() if r["split"] == "test"]
+            for doc_id, record in predicted.items():
+                assert record["text"].split() == doc[doc_id]["text"].split()
+            run("validate", pred)
+
+
 class TestModelExitCodeFuzz:
     """Damaged model files make predict exit 0, 1 or 2, never crash."""
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from hiergraph import (
     Dataset,
     DocMismatch,
+    EmptyDataset,
     FileUnreadable,
+    HierGraphError,
     LengthMismatch,
     MalformedRecord,
     OverlapConflict,
@@ -30,7 +32,7 @@ from hiergraph import (
     tokenize,
     validate_graph,
 )
-from hiergraph import corpus, schema
+from hiergraph import cli, corpus, schema
 from hiergraph.cli import main
 from hiergraph.corpus import ENTITY_ROWS, atomic_write, parse_dataset
 from hiergraph.schema import Entity, ReportGraph
@@ -40,6 +42,7 @@ from hiergraph.synth import (
     perturb_predictions,
 )
 
+from mutations import records
 from oracles import reference_dataset_text
 
 # Strings JSON must escape or may pass through: quotes, backslashes,
@@ -264,6 +267,80 @@ class TestDataset:
         p.write_bytes(b"\xff\xfe{}")
         with pytest.raises(MalformedRecord, match="not UTF-8"):
             load_dataset(str(p))
+
+
+# --splits values: every split, one split, the other, and two through an
+# alias.
+LOAD_SPLITS = (None, "train", "test", "dev,test")
+
+
+class TestSelectedLoad:
+    """``load_dataset(path, splits)`` builds graphs only for the reports
+    in ``splits``; what it returns, or the error it raises, is what
+    loading every report and then selecting (``cli._select``) gives.
+    With every split selected (None) nothing is selected away, and an
+    empty file loads as empty."""
+
+    @staticmethod
+    def outcome(read):
+        try:
+            return [(r.doc_id, r.tokens, serialize_report(r)) for r in read()]
+        except HierGraphError as exc:
+            return type(exc), str(exc)
+
+    def assert_loads_as_selected(self, doc, splits_text):
+        splits = cli._parse_splits(splits_text, None)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            got = self.outcome(lambda: load_dataset(path, splits).reports)
+            everything = lambda: load_dataset(path).reports
+            want = self.outcome(
+                everything if splits is None
+                else lambda: cli._select(everything(), splits, path)
+            )
+        assert got == want
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(records(), max_size=4), st.sampled_from(LOAD_SPLITS))
+    def test_drawn_files(self, drawn, splits_text):
+        self.assert_loads_as_selected(
+            {f"r{i}": record for i, record in enumerate(drawn)}, splits_text
+        )
+
+    def test_error_outside_the_selection(self, small_path):
+        """A bad report outside the selected splits fails the load with
+        the loader's error, after the good reports before it."""
+        with open(small_path) as fh:
+            doc = json.load(fh)
+        held = {r.split for r in load_dataset(small_path).reports}
+        assert {"train", "test"} <= held
+        first = next(d for d in doc if d != "_meta" and doc[d].get("split") != "train")
+        doc[first]["entities"]["zz"] = {
+            "tokens": "x", "label": "FOO", "start_ix": 0, "end_ix": 0, "relations": []}
+        err = self.assert_loads_as_selected(doc, "train")
+        assert err[0] is ValidationError and first in err[1] and "unknown_label" in err[1]
+
+    def test_record_only_the_loader_accepts(self):
+        """A relation target written as a number fails the key reader's
+        test but loads, so a report holding one outside the selection
+        does not stop the load."""
+        numeric = {"text": "no new effusion", "split": "test", "entities": {
+            "7": {"tokens": "effusion", "label": "OBS-DA", "start_ix": 2, "end_ix": 2},
+            "b": {"tokens": "new", "label": "CHAN-NC", "start_ix": 1, "end_ix": 1,
+                  "relations": [["modify", 7]]},
+        }}
+        assert schema._record_keys("n", numeric) is None
+        doc = {"t": {"text": "clear", "split": "train"}, "n": numeric}
+        assert [r[0] for r in self.assert_loads_as_selected(doc, "train")] == ["t"]
+
+    def test_empty_selection(self):
+        err = self.assert_loads_as_selected({"a": {"text": "x", "split": "test"}}, "dev")
+        assert err[0] is EmptyDataset
+        assert err[1].endswith("data.json holds no reports in validation (its splits: test)")
+        assert self.assert_loads_as_selected({}, None) == []
 
 
 class TestAtomicWrite:

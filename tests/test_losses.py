@@ -17,9 +17,10 @@ from hiergraph import (
     tag_tree_for,
     unconditional_loss,
 )
+from hiergraph import losses
 from hiergraph.losses import LOSS_CEILING, TINY
 
-from oracles import mp_conditional_loss, mp_unconditional_loss
+from oracles import mp_conditional_loss, mp_unconditional_loss, reference_report
 
 UNIFORM12 = np.zeros(12)
 
@@ -328,3 +329,61 @@ class TestBatch:
         logits[1, 3] = np.inf
         with pytest.raises(NonFiniteLogit):
             conditional_hier_loss(tree3, logits, [0, 1])
+
+
+class TestReportBits:
+    """``_report`` gives the bits of the formula it replaced: each row
+    rescaled even when its scale is 1.0, each depth summed on its own."""
+
+    @staticmethod
+    def _inputs(tree, n, rng):
+        """Masks, masses, floored masses and gradients of both losses on
+        ``n`` rows, some pinned at the ceiling and some underflowed."""
+        k = len(tree.leaves)
+        logits = rng.normal(0.0, 3.0, size=(n, k)) * rng.choice([1.0, 10.0, 60.0], size=(n, 1))
+        gold = rng.integers(k, size=n)
+        rows = np.arange(n)
+        under = rows[rng.random(n) < 0.05]
+        logits[under, gold[under]] = -1500.0
+        # Every change leaf far below the rest: three depths of about
+        # -log(e^-400) each overrun the ceiling without underflowing.
+        chan = [i for i, leaf in enumerate(tree.leaves) if leaf.startswith("CHAN")]
+        deep = max(chan, key=lambda i: tree.depth_of(tree.leaves[i]))
+        over = rows[rng.random(n) < 0.05]
+        logits[over] = 0.0
+        logits[np.ix_(over, chan)] = -400.0
+        gold[over] = deep
+        probs, _, mass = losses._rows(tree, logits, gold)
+        floored = np.maximum(mass, TINY)
+        cond_mask = tree.path_masks[gold]
+        cond_grad = cond_mask.sum(axis=1, keepdims=True) * probs - probs * (
+            (cond_mask / floored) @ tree.ancestors.T
+        )
+        flat_mask = tree.leaf_masks[gold]
+        flat_grad = probs.copy()
+        flat_grad[rows, gold] -= 1.0
+        return [(cond_mask, mass, floored, cond_grad), (flat_mask, mass, floored, flat_grad)]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129, 1000, 8191, 8192, 8193, 20000])
+    def test_equal_bits(self, tree3, n):
+        tree = tag_tree_for(tree3)
+        rng = np.random.default_rng(n)
+        clamped = underflowed = 0
+        for mask, mass, floored, grad in self._inputs(tree, n, rng):
+            underflowed += int((mask & (mass < TINY)).any(axis=1).sum())
+            for one in (True, False) if n == 1 else (False,):
+                got = losses._report(tree, mask, mass, floored, grad.copy(), one)
+                loss, per_depth, want_grad, want_clamped = reference_report(
+                    tree, mask, mass, grad.copy(), one
+                )
+                assert np.float64(got.loss).tobytes() == np.float64(loss).tobytes()
+                assert list(got.per_depth) == list(per_depth)
+                assert np.array(list(got.per_depth.values())).tobytes() == (
+                    np.array(list(per_depth.values())).tobytes()
+                )
+                assert got.grad.tobytes() == want_grad.tobytes()
+                assert got.clamped == want_clamped
+                clamped += int(got.clamped)
+        if n >= 129:
+            # Rows over the ceiling without underflow were drawn too.
+            assert underflowed and clamped > underflowed

@@ -263,6 +263,21 @@ def test_array_commands_load_numpy(command, model, tmp_path):
         assert result["threads"] == 1
 
 
+# The package modules ``train`` and ``predict`` run besides the CLI's.
+# The loader's test of reports outside the selected splits lives in
+# ``schema``, so neither command runs ``evaluation``.
+ARRAY_USES = ("corpus", "losses", "model_io", "relations", "schema", "tagger", "taxonomy")
+
+
+@pytest.mark.parametrize("splits", [None, "train", "test"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_train_and_predict_run_only_their_modules(command, splits, model, tmp_path):
+    argv = array_argv(command, model, tmp_path) + (["--splits", splits] if splits else [])
+    result = run_cli(*argv)
+    assert result["code"] == 0
+    assert result["ran"] == sorted(CLI_MODULES + tuple(f"hiergraph.{m}" for m in ARRAY_USES))
+
+
 @pytest.mark.parametrize(
     "environ", [{"OMP_NUM_THREADS": "2"}, {"OPENBLAS_NUM_THREADS": "3"}],
     ids=lambda environ: ",".join(environ),

@@ -22,7 +22,7 @@ from hiergraph import (
 )
 from hiergraph.synth import make_separable_corpus
 from hiergraph import tagger
-from hiergraph.tagger import _blocks, _embedding_grad, _window_features
+from hiergraph.tagger import _blocks, _embedding_grad, _scatter_rows, _window_features
 from hiergraph.taxonomy import SHIPPED_CONFIGS, load_taxonomy
 
 from oracles import reference_train
@@ -144,6 +144,34 @@ class TestWindowLayout:
         np.testing.assert_array_equal(blocks[0][1], [0, 1, 4, 5, 6])
         np.testing.assert_array_equal(np.concatenate([ids for ids, _, _ in blocks]),
                                       np.concatenate(batch))
+
+
+class TestScatterRows:
+    """One ``np.bincount`` over a minibatch gives the bits of one
+    ``np.add.at`` per block, added in block order."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_bits(self, n_blocks, seed):
+        rng = np.random.default_rng(seed)
+        vocab, dim = 6, 5
+        lengths = rng.integers(1, 300, size=n_blocks)
+        # Few ids, so each repeats many times; magnitudes far apart, so
+        # that adding in another order changes the bits.
+        blocks = [rng.integers(0, vocab, size=n) for n in lengths]
+        grads = [rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-8, 9, size=(n, 1))
+                 for n in lengths]
+        want = np.zeros((vocab + 2, dim))
+        for ids, g in zip(blocks, grads):
+            np.add.at(want, ids, g)
+        got = _scatter_rows(np.concatenate(blocks), np.concatenate(grads), vocab + 2)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # The order of the additions shows in the bits.
+        shuffled = np.zeros_like(want)
+        order = rng.permutation(int(lengths.sum()))
+        np.add.at(shuffled, np.concatenate(blocks)[order], np.concatenate(grads)[order])
+        assert shuffled.tobytes() != want.tobytes()
 
 
 class TestTraining:

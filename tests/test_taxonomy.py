@@ -1,7 +1,10 @@
 """Tree construction, validation, and probability propagation."""
 
 import dataclasses
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,10 @@ B B1
 B B2
 B B3
 """
+
+
+# Two leaves under the root, and a cycle that no edge attaches to it.
+CYCLIC = "ROOT a\nROOT c\nx y\ny z\nz x\n"
 
 
 def random_tree(rng, max_leaves=6, max_depth=3):
@@ -136,6 +143,34 @@ class TestConstruction:
     def test_two_cycle(self):
         with pytest.raises(CycleDetected):
             build_tree("ROOT X\nA B\nB A\n")
+
+    def test_cycle_named_by_edge_order(self):
+        """The node named is the first one met twice, walking parent
+        links from each child in edge order."""
+        with pytest.raises(CycleDetected, match="^cycle through node 'y'$"):
+            build_tree(CYCLIC)
+        # The walk from p0 enters the 3 000-node cycle at c2999 and
+        # meets it again after going round.
+        chain = [("ROOT", "A"), ("ROOT", "B"), ("c2999", "p0")]
+        chain += [(f"c{i}", f"c{i + 1}") for i in range(2999)] + [("c2999", "c0")]
+        with pytest.raises(CycleDetected, match="^cycle through node 'c2999'$"):
+            build_tree("\n".join(f"{p} {c}" for p, c in chain))
+
+    def test_cycle_message_ignores_hash_seed(self, tmp_path):
+        """Each hash seed, one interpreter each, prints the same error."""
+        config = tmp_path / "cyclic.txt"
+        config.write_text(CYCLIC)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        stderr = []
+        for seed in ("1", "2", "3"):
+            done = subprocess.run(
+                [sys.executable, "-m", "hiergraph.cli", "loss-check", "--taxonomy", str(config)],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src),
+                capture_output=True, text=True,
+            )
+            assert done.returncode == 2, done.stderr
+            stderr.append(done.stderr)
+        assert stderr == ["invalid: cycle through node 'y'\n"] * 3
 
     def test_missing_root(self):
         with pytest.raises(MultipleRoots):
@@ -395,6 +430,16 @@ class TestProbabilities:
             for arr in (tree.ancestors, tree.path_masks, tree.node_depths,
                         tree.depth_onehot, tree.leaf_masks):
                 assert not arr.flags.writeable
+
+    def test_depth_onehot_rows_of_the_identity(self):
+        """On the shipped trees and their tag trees, ``depth_onehot``
+        holds the rows of the identity that each column's depth picks."""
+        for name in SHIPPED_CONFIGS:
+            tree = load_taxonomy(name)
+            for t in (tree, tag_tree_for(tree)):
+                want = np.eye(t.max_depth + 1)[t.node_depths]
+                assert t.depth_onehot.dtype == want.dtype
+                assert np.array_equal(t.depth_onehot, want)
 
     def test_tables_built_once_on_first_read(self, tree3):
         """A new tree holds no table until one is read; each read after
