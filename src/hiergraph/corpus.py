@@ -69,14 +69,6 @@ class Dataset:
 
     reports: list[ReportGraph]
 
-    @property
-    def partitions(self) -> dict[str, list[str]]:
-        """Split -> doc ids in report order; every split in SPLITS is a key."""
-        partitions: dict[str, list[str]] = {s: [] for s in SPLITS}
-        for report in self.reports:
-            partitions.setdefault(report.split, []).append(report.doc_id)
-        return partitions
-
     def __len__(self) -> int:
         return len(self.reports)
 

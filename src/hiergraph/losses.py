@@ -5,7 +5,9 @@ checker, and a self-test of the probability and loss invariants.
 Both losses consume leaf logits, one row or a batch of rows, and return
 the analytic gradient with respect to them, so callers never need
 autodiff.  A batch is one array computation: node masses are the
-softmax rows times the tree's leaf-by-node ancestor matrix.
+softmax rows times the tree's leaf-by-node ancestor matrix, and each
+row's gold path is one gather through the tree's ``path_columns``, so
+its terms come out already laid out by depth.
 """
 
 from __future__ import annotations
@@ -79,34 +81,26 @@ def _rows(tree: TaxonomyTree, logits, gold_leaf):
     return probs, gold, probs @ tree.ancestors
 
 
-def _report(
-    tree: TaxonomyTree,
-    mask: np.ndarray,
-    mass: np.ndarray,
-    floored: np.ndarray,
-    grad: np.ndarray,
-    one: bool,
-) -> LossReport:
-    """-log of every masked node mass, filed by depth, then clamped row by row.
+def _report(picked: np.ndarray, valid: np.ndarray, grad: np.ndarray, one: bool) -> LossReport:
+    """-log of every valid picked mass, filed by depth, then clamped row by row.
 
-    ``floored`` is ``np.maximum(mass, TINY)``.  A row is pinned at the
-    ceiling when a masked mass underflowed or its total overran it; its
+    ``picked[r, d]`` is row r's node mass at depth d and ``valid[r, d]``
+    says whether that depth has a term.  A row is pinned at the ceiling
+    when a valid mass underflowed or its total overran it; its
     components and gradient are rescaled in proportion so its per-depth
     sum still equals its loss.  With no row pinned the scale would be
     exactly 1.0, so nothing is rescaled.
     """
-    terms = np.where(mask, -np.log(floored), 0.0)
-    # Each row masks at most one node per depth, so this matmul only
-    # moves terms into depth columns and rounds nothing.
-    comps = terms @ tree.depth_onehot
+    # ``+ 0.0`` makes the -0.0 of -log(1.0) read 0.0, as a sum of terms would.
+    comps = np.where(valid, -np.log(np.maximum(picked, TINY)), 0.0) + 0.0
     totals = comps.sum(axis=1)
-    clamped = (mask & (mass < TINY)).any(axis=1) | (totals > LOSS_CEILING)
+    clamped = (valid & (picked < TINY)).any(axis=1) | (totals > LOSS_CEILING)
     if clamped.any():
         scale = LOSS_CEILING / np.where(clamped, totals, LOSS_CEILING)
         comps *= scale[:, None]
         grad *= scale[:, None]
         totals = np.where(clamped, LOSS_CEILING, totals)
-    depths = sorted({0, *tree.node_depths[mask.any(axis=0)].tolist()})
+    depths = [0, *np.flatnonzero(valid.any(axis=0)).tolist()]
     if one:
         return LossReport(
             loss=float(totals[0]),
@@ -136,14 +130,16 @@ def conditional_hier_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     logits, N gold leaves); see ``LossReport`` for what a batch returns.
     """
     probs, gold, mass = _rows(tree, logits, gold_leaf)
-    mask = tree.path_masks[gold]
-    floored = np.maximum(mass, TINY)
+    rows = np.arange(len(gold))[:, None]
+    cols = tree.path_columns[gold]
+    picked = mass[rows, cols]
+    valid = cols != len(tree.leaves)
     # d/dx of -log(sum_{i in S} softmax_i), summed over the path nodes S:
     # softmax once per node, minus softmax_i / mass(S) inside each subtree.
-    grad = mask.sum(axis=1, keepdims=True) * probs - probs * (
-        (mask / floored) @ tree.ancestors.T
-    )
-    return _report(tree, mask, mass, floored, grad, np.ndim(logits) == 1)
+    inv = np.zeros_like(mass)
+    inv[rows, cols] = np.where(valid, 1.0 / np.maximum(picked, TINY), 0.0)
+    grad = valid.sum(axis=1, keepdims=True) * probs - probs * (inv @ tree.ancestors.T)
+    return _report(picked, valid, grad, np.ndim(logits) == 1)
 
 
 def unconditional_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
@@ -154,10 +150,11 @@ def unconditional_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     batch, as ``conditional_hier_loss`` does.
     """
     probs, gold, mass = _rows(tree, logits, gold_leaf)
-    mask = tree.leaf_masks[gold]
+    rows = np.arange(len(gold))
+    cols = tree.path_columns[gold]
     grad = probs.copy()
-    grad[np.arange(len(gold)), gold] -= 1.0
-    return _report(tree, mask, mass, np.maximum(mass, TINY), grad, np.ndim(logits) == 1)
+    grad[rows, gold] -= 1.0
+    return _report(mass[rows[:, None], cols], cols == gold[:, None], grad, np.ndim(logits) == 1)
 
 
 def gradient_check(fn, x) -> float:

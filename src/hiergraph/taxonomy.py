@@ -74,17 +74,16 @@ class TaxonomyTree:
     tree holds only what validating the edges produces; every query on
     names and depths walks parent links and needs no numpy.
 
-    The batched losses read the tree as matrices over ``mass_nodes``, the
-    leaves in logit order followed by the internal nodes breadth-first
-    (root first): ``ancestors[i, k]`` is 1.0 when node k lies on the
-    root-to-leaf path of leaf i (both ends included), so a (rows x
-    leaves) softmax times ``ancestors`` gives every node mass;
-    ``path_masks`` is the same path without the root; ``node_depths``
-    gives each column's depth.  Two fixed tables serve the losses:
-    ``depth_onehot[k, d]`` is 1.0 when column k lies at depth d, so terms
-    per column times it are terms per depth, and ``leaf_masks`` is
-    ``path_masks`` cut down to each leaf's own column.  Each is built on
-    its first read, once per tree, and is read-only.
+    The batched losses read the tree through two tables over
+    ``mass_nodes``, the leaves in logit order followed by the internal
+    nodes breadth-first, so leaf i is column i and the root is column
+    ``len(leaves)``.  ``path_columns[i, d]`` is the column of leaf i's
+    ancestor at depth d, for 1 <= d <= the leaf's depth, and the root's
+    column everywhere else; with the root standing for "no node", every
+    entry is a valid column.  ``ancestors[i, k]`` is 1.0 when column k
+    lies on leaf i's root path (both ends included), so a (rows x leaves)
+    softmax times ``ancestors`` gives every node mass.  Each table is
+    built on its first read, once per tree, and is read-only.
     """
 
     nodes: dict[str, TaxonomyNode]
@@ -185,30 +184,19 @@ class TaxonomyTree:
         return {name: k for k, name in enumerate(self.mass_nodes)}
 
     @cached_property
-    def ancestors(self) -> np.ndarray:
-        ancestors = np.zeros((len(self.leaves), len(self.mass_nodes)))
+    def path_columns(self) -> np.ndarray:
+        cols = np.full((len(self.leaves), self.max_depth + 1), len(self.leaves), np.intp)
         for i, leaf in enumerate(self.leaves):
-            for name in self.root_path(leaf):
-                ancestors[i, self._column[name]] = 1.0
+            path = [self._column[name] for name in self.root_path(leaf)]
+            cols[i, : len(path)] = path
+        return _read_only(cols)
+
+    @cached_property
+    def ancestors(self) -> np.ndarray:
+        # The root padding of ``path_columns`` writes the root's 1.0.
+        ancestors = np.zeros((len(self.leaves), len(self.mass_nodes)))
+        ancestors[np.arange(len(self.leaves))[:, None], self.path_columns] = 1.0
         return _read_only(ancestors)
-
-    @cached_property
-    def node_depths(self) -> np.ndarray:
-        return _read_only(np.array([self.nodes[n].depth for n in self.mass_nodes]))
-
-    @cached_property
-    def path_masks(self) -> np.ndarray:
-        return _read_only((self.ancestors > 0.0) & (self.node_depths > 0))
-
-    @cached_property
-    def depth_onehot(self) -> np.ndarray:
-        onehot = np.zeros((len(self.mass_nodes), self.max_depth + 1))
-        onehot[np.arange(len(onehot)), self.node_depths] = 1.0
-        return _read_only(onehot)
-
-    @cached_property
-    def leaf_masks(self) -> np.ndarray:
-        return _read_only(np.eye(len(self.leaves), len(self.mass_nodes), dtype=bool))
 
     # -- queries -------------------------------------------------------------
 

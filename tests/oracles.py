@@ -26,6 +26,7 @@ from hiergraph import (
     TaggerParams,
     build_vocab,
     conditional_hier_loss,
+    leaf_distribution,
     tag_tree_for,
     to_token_labeling,
     relation_signature_allowed,
@@ -82,22 +83,49 @@ def mp_unconditional_loss(tree, logits, gold):
     return -mp.log(probs[tree.leaf_index(gold)])
 
 
-def reference_report(tree, mask, mass, grad, one):
-    """``losses._report`` as first batched: every row rescaled (by
-    exactly 1.0 when it is not clamped), the masses floored again, and
-    each depth's column summed on its own.  Scales ``grad`` in place, as
-    ``_report`` does; returns (loss, per_depth, grad, clamped)."""
+def reference_report(tree, logits, gold, flat, one):
+    """A loss as first batched, from dense tables built here out of root
+    paths and depths: each row's terms masked over ``mass_nodes`` (the
+    gold leaf's root path without the root, or for ``flat`` the gold leaf
+    alone), moved to depth columns by a one-hot matmul, every row
+    rescaled (by exactly 1.0 when it is not clamped), and each depth's
+    column summed on its own.  ``gold`` holds leaf indices, one per row of
+    ``logits``; ``one`` reports a single row as one example.  Returns
+    (loss, per_depth, grad, clamped)."""
     from hiergraph.losses import LOSS_CEILING, TINY
 
+    column = {name: k for k, name in enumerate(tree.mass_nodes)}
+    depth_of = np.array([tree.depth_of(name) for name in tree.mass_nodes])
+    onehot = np.eye(tree.max_depth + 1)[depth_of]
+    ancestors = np.zeros((len(tree.leaves), len(column)))
+    paths = np.zeros(ancestors.shape, dtype=bool)
+    for i, leaf in enumerate(tree.leaves):
+        path = [column[name] for name in tree.root_path(leaf)]
+        ancestors[i, path] = 1.0
+        paths[i, path[1:]] = True
+    probs = np.atleast_2d(leaf_distribution(tree, logits))
+    mass = probs @ ancestors
+    rows = np.arange(len(gold))
+    if flat:
+        mask = np.zeros(mass.shape, dtype=bool)
+        mask[rows, gold] = True
+        grad = probs.copy()
+        grad[rows, gold] -= 1.0
+    else:
+        mask = paths[gold]
+        grad = mask.sum(axis=1, keepdims=True) * probs - probs * (
+            (mask / np.maximum(mass, TINY)) @ ancestors.T
+        )
+
     terms = np.where(mask, -np.log(np.maximum(mass, TINY)), 0.0)
-    comps = terms @ tree.depth_onehot
+    comps = terms @ onehot
     totals = comps.sum(axis=1)
     clamped = (mask & (mass < TINY)).any(axis=1) | (totals > LOSS_CEILING)
     scale = LOSS_CEILING / np.where(clamped, totals, LOSS_CEILING)
     comps *= scale[:, None]
     grad *= scale[:, None]
     losses = np.where(clamped, LOSS_CEILING, totals)
-    depths = sorted({0, *tree.node_depths[mask.any(axis=0)].tolist()})
+    depths = sorted({0, *depth_of[mask.any(axis=0)].tolist()})
     if one:
         return (float(losses[0]), {d: float(comps[0, d]) for d in depths}, grad[0],
                 bool(clamped[0]))

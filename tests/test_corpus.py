@@ -106,24 +106,20 @@ class TestTokenize:
 class TestDataset:
     def test_load_fixture(self, small_ds):
         assert len(small_ds) == 6
-        assert small_ds.partitions["train"] == ["mimic-1", "synth-1"]
-        assert small_ds.partitions["validation"] == ["mimic-2"]
-        assert small_ds.partitions["test"] == ["mimic-3", "chex-1", "chex-2"]
-
-    def test_partitions_follow_reports(self, small_ds):
-        assert small_ds.subset("test").partitions == {
-            "train": [],
-            "validation": [],
-            "test": ["mimic-3", "chex-1", "chex-2"],
-        }
-        with pytest.raises(AttributeError):
-            small_ds.partitions = {}
+        assert [(r.doc_id, r.split) for r in small_ds.reports] == [
+            ("mimic-1", "train"),
+            ("mimic-2", "validation"),
+            ("mimic-3", "test"),
+            ("chex-1", "test"),
+            ("chex-2", "test"),
+            ("synth-1", "train"),
+        ]
 
     def test_by_id_and_subset(self, small_ds):
         by_id = small_ds.by_id()
         assert by_id["chex-2"].source == "CheXpert"
         test_only = small_ds.subset("test")
-        assert len(test_only) == 3
+        assert [r.doc_id for r in test_only.reports] == ["mimic-3", "chex-1", "chex-2"]
         pair = small_ds.subset(["train", "validation"])
         assert {r.split for r in pair.reports} == {"train", "validation"}
 

@@ -1,6 +1,10 @@
 """Hierarchical and flat losses: values, components, gradients, clamping."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +21,11 @@ from hiergraph import (
     tag_tree_for,
     unconditional_loss,
 )
-from hiergraph import losses
 from hiergraph.losses import LOSS_CEILING, TINY
 
 from oracles import mp_conditional_loss, mp_unconditional_loss, reference_report
+
+ROOT = Path(__file__).resolve().parents[1]
 
 UNIFORM12 = np.zeros(12)
 
@@ -292,7 +297,7 @@ class TestBatch:
                 over = conditional_hier_loss(tree, logits[1], tree.leaves[gold[1]])
                 assert over.clamped and over.loss == LOSS_CEILING
                 mass = leaf_distribution(tree, logits[1]) @ tree.ancestors
-                assert np.all(mass[tree.path_masks[gold[1]]] >= TINY)
+                assert np.all(mass[tree.path_columns[gold[1]]] >= TINY)
 
     def test_one_row_batch_is_the_single_call(self, tree3):
         rng = np.random.default_rng(17)
@@ -332,13 +337,15 @@ class TestBatch:
 
 
 class TestReportBits:
-    """``_report`` gives the bits of the formula it replaced: each row
-    rescaled even when its scale is 1.0, each depth summed on its own."""
+    """The public losses give the bits of the dense formulas they
+    replaced (``reference_report``): each row rescaled even when its
+    scale is 1.0, each depth summed on its own, and a depth whose mass is
+    exactly 1.0 reported as 0.0, as the one-hot matmul gave, not -0.0."""
 
     @staticmethod
     def _inputs(tree, n, rng):
-        """Masks, masses, floored masses and gradients of both losses on
-        ``n`` rows, some pinned at the ceiling and some underflowed."""
+        """Logits and gold leaf indices for ``n`` rows, some pinned at the
+        ceiling, some underflowed and some with all mass on the gold leaf."""
         k = len(tree.leaves)
         logits = rng.normal(0.0, 3.0, size=(n, k)) * rng.choice([1.0, 10.0, 60.0], size=(n, 1))
         gold = rng.integers(k, size=n)
@@ -353,37 +360,91 @@ class TestReportBits:
         logits[over] = 0.0
         logits[np.ix_(over, chan)] = -400.0
         gold[over] = deep
-        probs, _, mass = losses._rows(tree, logits, gold)
-        floored = np.maximum(mass, TINY)
-        cond_mask = tree.path_masks[gold]
-        cond_grad = cond_mask.sum(axis=1, keepdims=True) * probs - probs * (
-            (cond_mask / floored) @ tree.ancestors.T
+        sure = rows[rng.random(n) < 0.05]
+        logits[sure] = -2000.0
+        logits[sure, gold[sure]] = 0.0
+        return logits, gold
+
+    @staticmethod
+    def _assert_bits(got, want):
+        loss, per_depth, grad, clamped = want
+        assert np.float64(got.loss).tobytes() == np.float64(loss).tobytes()
+        assert list(got.per_depth) == list(per_depth)
+        assert np.array(list(got.per_depth.values())).tobytes() == (
+            np.array(list(per_depth.values())).tobytes()
         )
-        flat_mask = tree.leaf_masks[gold]
-        flat_grad = probs.copy()
-        flat_grad[rows, gold] -= 1.0
-        return [(cond_mask, mass, floored, cond_grad), (flat_mask, mass, floored, flat_grad)]
+        assert got.grad.tobytes() == grad.tobytes()
+        assert got.clamped == clamped
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129, 1000, 8191, 8192, 8193, 20000])
     def test_equal_bits(self, tree3, n):
         tree = tag_tree_for(tree3)
         rng = np.random.default_rng(n)
-        clamped = underflowed = 0
-        for mask, mass, floored, grad in self._inputs(tree, n, rng):
-            underflowed += int((mask & (mass < TINY)).any(axis=1).sum())
-            for one in (True, False) if n == 1 else (False,):
-                got = losses._report(tree, mask, mass, floored, grad.copy(), one)
-                loss, per_depth, want_grad, want_clamped = reference_report(
-                    tree, mask, mass, grad.copy(), one
-                )
-                assert np.float64(got.loss).tobytes() == np.float64(loss).tobytes()
-                assert list(got.per_depth) == list(per_depth)
-                assert np.array(list(got.per_depth.values())).tobytes() == (
-                    np.array(list(per_depth.values())).tobytes()
-                )
-                assert got.grad.tobytes() == want_grad.tobytes()
-                assert got.clamped == want_clamped
-                clamped += int(got.clamped)
+        logits, gold = self._inputs(tree, n, rng)
+        clamped = 0
+        for fn, flat in ((conditional_hier_loss, False), (unconditional_loss, True)):
+            got = fn(tree, logits, gold)
+            self._assert_bits(got, reference_report(tree, logits, gold, flat, False))
+            clamped += got.clamped
+            for x, g in zip(logits[:3], gold[:3]):
+                got = fn(tree, x, tree.leaves[g])
+                self._assert_bits(got, reference_report(tree, x, [g], flat, True))
         if n >= 129:
             # Rows over the ceiling without underflow were drawn too.
+            probs = leaf_distribution(tree, logits)
+            underflowed = 2 * int((probs[np.arange(n), gold] < TINY).sum())
             assert underflowed and clamped > underflowed
+
+    def test_certain_rows(self, tree3, tree2, tree1):
+        """All mass on the gold leaf: every term is -log(1.0) = -0.0."""
+        for tree in (tree3, tree2, tree1, tag_tree_for(tree3)):
+            k = len(tree.leaves)
+            gold = np.arange(k)
+            logits = np.full((k, k), -2000.0)
+            logits[gold, gold] = 0.0
+            for fn, flat in ((conditional_hier_loss, False), (unconditional_loss, True)):
+                got = fn(tree, logits, gold)
+                assert got.loss == 0.0 and set(got.per_depth.values()) == {0.0}
+                self._assert_bits(got, reference_report(tree, logits, gold, flat, False))
+                for x, g in zip(logits, gold):
+                    got = fn(tree, x, tree.leaves[g])
+                    self._assert_bits(got, reference_report(tree, x, [g], flat, True))
+
+
+class TestDeepChain:
+    """The losses' tree tables grow with leaves times depth, not with
+    depth squared: on a 3 000-level chain with two leaves under its last
+    node, both losses and a two-trial gradient check peak below 64 MB
+    resident.  A dense (columns x depths) table adds about 70 MB there."""
+
+    CHILD = """
+import numpy as np
+from hiergraph import TaxonomyTree, check_loss_gradients, conditional_hier_loss, unconditional_loss
+
+n = 3000
+edges = [("ROOT", "c1"), *((f"c{i}", f"c{i + 1}") for i in range(1, n))]
+tree = TaxonomyTree.from_edges(edges + [(f"c{n}", "a"), (f"c{n}", "b")])
+logits = np.array([[0.5, -0.5], [2.0, 1.0]])
+for fn in (conditional_hier_loss, unconditional_loss):
+    fn(tree, logits, [0, 1])
+    fn(tree, logits[0], "a")
+check_loss_gradients(tree, trials=2)
+try:
+    with open("/proc/self/status") as fh:
+        print(*(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+except OSError:
+    pass
+"""
+
+    def test_peak_memory(self):
+        # One BLAS thread, as the CLI loads numpy, so the peak does not
+        # depend on the machine's core count; OpenBLAS reads this variable
+        # before the others that set its thread count.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", self.CHILD], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        if not done.stdout.strip():
+            pytest.skip("no VmHWM in /proc/self/status")
+        assert int(done.stdout) < 64 * 1024  # kB

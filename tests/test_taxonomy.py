@@ -400,10 +400,10 @@ class TestProbabilities:
             k = len(tree.leaves)
             assert tree.mass_nodes[:k] == tree.leaves
             assert sorted(tree.mass_nodes) == sorted(tree.nodes)
-            assert [tree.depth_of(n) for n in tree.mass_nodes] == tree.node_depths.tolist()
+            assert tree.mass_nodes[k] == "ROOT"
             for i, leaf in enumerate(tree.leaves):
-                on_path = {tree.mass_nodes[c] for c in np.flatnonzero(tree.path_masks[i])}
-                assert on_path == set(tree.root_path(leaf)[1:])
+                on_path = {tree.mass_nodes[c] for c in np.flatnonzero(tree.ancestors[i])}
+                assert on_path == set(tree.root_path(leaf))
             logits = rng.normal(size=(5, k)) * 2
             dists = leaf_distribution(tree, logits)
             for row, dist in zip(dists @ tree.ancestors, dists):
@@ -413,40 +413,28 @@ class TestProbabilities:
             for x, dist in zip(logits, dists):
                 assert np.array_equal(leaf_distribution(tree, x), dist)
 
-    def test_loss_tables(self, tree3, tree2, tree1):
-        """The losses' fixed tables: a depth one-hot row per mass column
-        and each leaf's own column; like the other tables, read-only."""
+    def test_path_columns_follow_root_paths(self):
+        """Row i of ``path_columns`` holds the columns of leaf i's root path
+        at depths 1 to the leaf's depth and the root's column elsewhere."""
         rng = np.random.default_rng(7)
-        for tree in [tree3, tree2, tree1] + [random_tree(rng) for _ in range(10)]:
-            k, m = len(tree.leaves), len(tree.mass_nodes)
-            assert tree.depth_onehot.shape == (m, tree.max_depth + 1)
-            assert tree.depth_onehot.sum(axis=1).tolist() == [1.0] * m
-            assert tree.depth_onehot.argmax(axis=1).tolist() == tree.node_depths.tolist()
-            assert tree.leaf_masks.dtype == bool
-            assert [np.flatnonzero(row).tolist() for row in tree.leaf_masks] == [
-                [i] for i in range(k)
-            ]
-            assert np.array_equal(tree.leaf_masks, tree.path_masks & tree.leaf_masks)
-            for arr in (tree.ancestors, tree.path_masks, tree.node_depths,
-                        tree.depth_onehot, tree.leaf_masks):
-                assert not arr.flags.writeable
-
-    def test_depth_onehot_rows_of_the_identity(self):
-        """On the shipped trees and their tag trees, ``depth_onehot``
-        holds the rows of the identity that each column's depth picks."""
-        for name in SHIPPED_CONFIGS:
-            tree = load_taxonomy(name)
-            for t in (tree, tag_tree_for(tree)):
-                want = np.eye(t.max_depth + 1)[t.node_depths]
-                assert t.depth_onehot.dtype == want.dtype
-                assert np.array_equal(t.depth_onehot, want)
+        shipped = [load_taxonomy(name) for name in SHIPPED_CONFIGS]
+        trees = shipped + [tag_tree_for(t) for t in shipped]
+        for tree in trees + [random_tree(rng, max_depth=5) for _ in range(40)]:
+            k = len(tree.leaves)
+            cols = tree.path_columns
+            assert cols.shape == (k, tree.max_depth + 1)
+            assert cols.dtype == np.intp and not cols.flags.writeable
+            for i, leaf in enumerate(tree.leaves):
+                path = tree.root_path(leaf)[1:]
+                depth = len(path)
+                assert [tree.mass_nodes[c] for c in cols[i, 1:depth + 1]] == list(path)
+                assert cols[i, 0] == k and set(cols[i, depth + 1:].tolist()) <= {k}
 
     def test_tables_built_once_on_first_read(self, tree3):
         """A new tree holds no table until one is read; each read after
         the first returns the same read-only object."""
         tree = TaxonomyTree.from_edges(list(tree3.edges))
-        names = ("mass_nodes", "ancestors", "path_masks", "node_depths",
-                 "depth_onehot", "leaf_masks")
+        names = ("mass_nodes", "path_columns", "ancestors")
         assert not set(names) & set(vars(tree))
         first = {name: getattr(tree, name) for name in names}
         for name in names:
