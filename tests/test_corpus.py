@@ -115,6 +115,13 @@ class TestDataset:
             ("synth-1", "train"),
         ]
 
+    def test_partitions_follow_reports(self, small_ds):
+        test_only = small_ds.subset("test")
+        assert len(test_only.subset(["train", "validation"])) == 0
+        assert test_only.subset("test").reports == test_only.reports
+        whole = small_ds.subset(["train", "validation", "test"])
+        assert whole.reports == small_ds.reports
+
     def test_by_id_and_subset(self, small_ds):
         by_id = small_ds.by_id()
         assert by_id["chex-2"].source == "CheXpert"
