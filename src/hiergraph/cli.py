@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import gc
 import json
-import operator
 import os
 import sys
 import types
@@ -84,14 +83,12 @@ def _emit(result, args) -> int:
     return EXIT_OK
 
 
-def _parse_splits(
-    text: str | None, default: tuple[str, ...] | None
-) -> tuple[str, ...] | None:
+def _parse_splits(text: str | None) -> tuple[str, ...]:
     """The splits a ``--splits`` value names, in order, with aliases
-    resolved through the file loader's split table; ``default`` without one.
-    None stands for every split."""
+    resolved through the file loader's split table; every split without
+    one."""
     if text is None:
-        return default
+        return schema.SPLITS
     names = [name.strip().lower() for name in text.split(",") if name.strip()]
     if not names:
         raise UnknownSplit("--splits names no split")
@@ -105,21 +102,6 @@ def _parse_splits(
             )
         wanted.append(split)
     return tuple(dict.fromkeys(wanted))
-
-
-def _select(
-    reports: list,
-    splits: tuple[str, ...] | None,
-    path: str,
-    split_of=operator.attrgetter("split"),
-) -> list:
-    """The reports, read from ``path``, whose split (``split_of`` each)
-    is in ``splits`` (None: all); EmptyDataset, naming the splits the
-    file holds, if none are."""
-    chosen = reports if splits is None else [r for r in reports if split_of(r) in splits]
-    if not chosen:
-        raise corpus.empty_selection(path, splits, {split_of(r) for r in reports})
-    return chosen
 
 
 # OpenBLAS reads its thread count from the first of these that is set,
@@ -191,7 +173,7 @@ def _cmd_tokenize(args) -> int:
 
 def _cmd_train(args) -> int:
     # Every setting is checked before numpy loads or any file is opened.
-    splits = _parse_splits(args.splits, ("train", "validation"))
+    splits = _parse_splits(args.splits)
     cfg = TrainConfig(
         phase1_epochs=0 if args.flat else args.phase1_epochs,
         phase2_epochs=args.phase2_epochs,
@@ -242,11 +224,9 @@ def _train(args, splits, cfg: TrainConfig) -> int:
 
 @_numpy_first
 def _cmd_predict(args) -> int:
-    splits = _parse_splits(args.splits, None)
+    splits = _parse_splits(args.splits)
     model = model_io.load_model(args.model)
     reports = corpus.load_dataset(args.data, splits).reports
-    if not reports:  # every split was selected, and the file holds none
-        raise corpus.empty_selection(args.data, splits, ())
     tokens = [report.tokens for report in reports]
     entities = [
         tagger.decode_entities(tags, report_tokens, single_token=args.single_token)
@@ -347,24 +327,16 @@ def _forked(what: str, func, *args):
             os.waitpid(pid, 0)
 
 
-def _eval_keys(path: str, splits: tuple[str, ...] | None) -> list[tuple]:
-    """The match keys of the reports of ``path`` in ``splits``: all that
-    strict matching reads of them, as plain tuples that pickle fast."""
-    chosen = _select(
-        evaluation.read_match_keys(path), splits, path, split_of=operator.itemgetter(0)
-    )
-    return [keys for _, keys in chosen]
-
-
 def _cmd_eval(args) -> int:
-    splits = _parse_splits(args.splits, None)
+    splits = _parse_splits(args.splits)
     # Both processes run these modules: run them once, before the fork.
     _lazy.load(corpus, evaluation)
     # The prediction file is read in a child while this process reads
     # gold.  Gold is read first, so its errors win as they would in
     # sequence.
-    with _forked(f"loading {args.pred}", _eval_keys, args.pred, splits) as prediction_keys:
-        gold = _eval_keys(args.gold, splits)
+    read = evaluation.read_match_keys
+    with _forked(f"loading {args.pred}", read, args.pred, splits) as prediction_keys:
+        gold = read(args.gold, splits)
         pred = prediction_keys()
     common = {keys[0] for keys in gold}.intersection(keys[0] for keys in pred)
     if not common:
@@ -471,6 +443,7 @@ def build_parser() -> _Parser:
     p.add_argument("--distance-cap", type=int, default=DEFAULT_DISTANCE_CAP)
     p.add_argument(
         "--splits",
+        default="train,validation",
         help="comma-separated splits to train on (default train,validation)",
     )
     p.add_argument("-o", "--output", required=True)

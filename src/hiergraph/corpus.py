@@ -129,41 +129,40 @@ def read_json(path: str):
         raise MalformedRecord("<root>", f"invalid JSON in {path}: {exc}") from exc
 
 
-def empty_selection(path: str, splits, held) -> EmptyDataset:
-    """The error for selecting no report of ``splits`` (None: every
-    split) from ``path``, whose reports lie in the splits ``held``."""
-    return EmptyDataset(
-        f"{path} holds no reports"
-        + (f" in {', '.join(splits)}" if splits is not None else "")
-        + f" (its splits: {', '.join(s for s in SPLITS if s in held) or 'none'})"
-    )
+def _selected(path: str, splits, build) -> list:
+    """``build(doc_id, record, head)`` of each record of the annotation
+    file ``path`` in ``splits``, in file order, ``head`` being its
+    ``_record_head``, read once here; EmptyDataset, naming the splits the
+    file holds, if there is none.  The one loop that selects by split.
+
+    Every record is checked, so a file fails as it would unselected.  A
+    record outside ``splits`` builds nothing: it passes the key reader's
+    acceptance test (``schema._record_keys``), or else is loaded and
+    dropped, so that a record the loader refuses raises its own error.
+    """
+    chosen, held = [], set()
+    for doc_id, record in report_records(read_json(path)):
+        head = _record_head(doc_id, record)
+        held.add(head[1])
+        if head[1] in splits:
+            chosen.append(build(doc_id, record, head))
+        elif _record_keys(doc_id, head) is None:
+            _loaded(doc_id, record)
+    if not chosen:
+        raise EmptyDataset(
+            f"{path} holds no reports in {', '.join(splits)}"
+            f" (its splits: {', '.join(s for s in SPLITS if s in held) or 'none'})"
+        )
+    return chosen
 
 
 def load_dataset(path: str, splits=None) -> Dataset:
     """The reports of the annotation file ``path``; with ``splits``, only
-    those in these splits, and EmptyDataset (``empty_selection``) if
-    there are none.
-
-    Every record is checked, in file order, so a file fails as it would
-    unselected.  A record outside ``splits`` builds no graph: it passes
-    the key reader's acceptance test (``schema._record_keys``), or else
-    is loaded as any other record and dropped, so that a record the
-    loader refuses raises the loader's own error.
-    """
-    doc = read_json(path)
+    those in these splits (``_selected``).  Each of those has its head
+    read twice, since ``parse_report`` takes the raw record."""
     if splits is None:
-        return parse_dataset(doc)
-    reports, held = [], set()
-    for doc_id, record in report_records(doc):
-        split = _record_head(doc_id, record)[1]
-        held.add(split)
-        if split in splits:
-            reports.append(_loaded(doc_id, record))
-        elif _record_keys(doc_id, record) is None:
-            _loaded(doc_id, record)
-    if not reports:
-        raise empty_selection(path, splits, held)
-    return Dataset(reports)
+        return parse_dataset(read_json(path))
+    return Dataset(_selected(path, splits, lambda doc_id, record, _: _loaded(doc_id, record)))
 
 
 @contextmanager

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import _aligned, _loaded, read_json, report_records
+from .corpus import _aligned, _loaded, _selected
 from .errors import DocMismatch
 from .schema import ReportGraph, _record_keys, label_group
 from .settings import EVAL_MODES
@@ -110,24 +110,18 @@ def _match_keys(report) -> tuple:
     )
 
 
-def read_match_keys(path: str) -> list[tuple[str, tuple]]:
-    """The split and match keys of each report of the annotation file
-    ``path``, in file order, without building report graphs: what
-    ``corpus.load_dataset`` and ``_match_keys`` give.
+def _keys(doc_id: str, record, head: tuple) -> tuple:
+    """The match keys of one record with head ``head``: ``_record_keys``',
+    or, if it refuses the record, the loader's graph's, or its error."""
+    keys = _record_keys(doc_id, head)
+    return _match_keys(_loaded(doc_id, record)) if keys is None else keys
 
-    A record whose head does not read raises ``_record_head``'s error.
-    Any other record that ``_record_keys`` does not accept goes through
-    the loader, so it raises the loader's own exception, or, if the
-    loader takes it after all, becomes keys through ``_match_keys``.
-    """
-    read = []
-    for doc_id, record in report_records(read_json(path)):
-        found = _record_keys(doc_id, record)
-        if found is None:
-            report = _loaded(doc_id, record)
-            found = report.split, _match_keys(report)
-        read.append(found)
-    return read
+
+def read_match_keys(path: str, splits) -> list[tuple]:
+    """``_match_keys`` of each report of ``corpus.load_dataset(path,
+    splits)``, or its error, selected by the same loop but without
+    building report graphs."""
+    return _selected(path, splits, _keys)
 
 
 def _prune_keys(keys: tuple) -> tuple:

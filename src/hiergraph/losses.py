@@ -5,9 +5,9 @@ checker, and a self-test of the probability and loss invariants.
 Both losses consume leaf logits, one row or a batch of rows, and return
 the analytic gradient with respect to them, so callers never need
 autodiff.  A batch is one array computation: node masses are the
-softmax rows times the tree's leaf-by-node ancestor matrix, and each
-row's gold path is one gather through the tree's ``path_columns``, so
-its terms come out already laid out by depth.
+softmax rows times the tree's leaf-by-node ancestor matrix, each row's
+gold path is one gather of them through ``path_columns``, so its terms
+come out laid out by depth, and the flat loss reads the gold softmax.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class LossReport:
 
 
 def _rows(tree: TaxonomyTree, logits, gold_leaf):
-    """Softmax rows, gold leaf indices and node masses (rows x mass_nodes).
+    """Softmax rows and gold leaf indices.
 
     One example is 1-D logits with one gold leaf name; a batch is
     (N, leaves) logits with N gold leaves, given as names or as leaf
@@ -78,18 +78,18 @@ def _rows(tree: TaxonomyTree, logits, gold_leaf):
                 raise NotALeaf(f"gold leaf indices outside [0, {len(tree.leaves)})")
         else:
             gold = np.array([tree.leaf_index(str(n)) for n in gold], dtype=np.intp)
-    return probs, gold, probs @ tree.ancestors
+    return probs, gold
 
 
 def _report(picked: np.ndarray, valid: np.ndarray, grad: np.ndarray, one: bool) -> LossReport:
     """-log of every valid picked mass, filed by depth, then clamped row by row.
 
-    ``picked[r, d]`` is row r's node mass at depth d and ``valid[r, d]``
-    says whether that depth has a term.  A row is pinned at the ceiling
-    when a valid mass underflowed or its total overran it; its
-    components and gradient are rescaled in proportion so its per-depth
-    sum still equals its loss.  With no row pinned the scale would be
-    exactly 1.0, so nothing is rescaled.
+    ``picked[r, d]`` is row r's node mass at depth d (one column stands
+    for every depth) and ``valid[r, d]`` says whether that depth has a
+    term.  A row is pinned at the ceiling when a valid mass underflowed
+    or its total overran it; its components and gradient are rescaled in
+    proportion so its per-depth sum still equals its loss.  With no row
+    pinned the scale would be exactly 1.0, so nothing is rescaled.
     """
     # ``+ 0.0`` makes the -0.0 of -log(1.0) read 0.0, as a sum of terms would.
     comps = np.where(valid, -np.log(np.maximum(picked, TINY)), 0.0) + 0.0
@@ -129,7 +129,8 @@ def conditional_hier_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     Takes one example (1-D logits, one leaf name) or a batch ((N, leaves)
     logits, N gold leaves); see ``LossReport`` for what a batch returns.
     """
-    probs, gold, mass = _rows(tree, logits, gold_leaf)
+    probs, gold = _rows(tree, logits, gold_leaf)
+    mass = probs @ tree.ancestors
     rows = np.arange(len(gold))[:, None]
     cols = tree.path_columns[gold]
     picked = mass[rows, cols]
@@ -149,12 +150,12 @@ def unconditional_loss(tree: TaxonomyTree, logits, gold_leaf) -> LossReport:
     stay comparable with the conditional loss.  Takes one example or a
     batch, as ``conditional_hier_loss`` does.
     """
-    probs, gold, mass = _rows(tree, logits, gold_leaf)
+    probs, gold = _rows(tree, logits, gold_leaf)
     rows = np.arange(len(gold))
-    cols = tree.path_columns[gold]
     grad = probs.copy()
     grad[rows, gold] -= 1.0
-    return _report(mass[rows[:, None], cols], cols == gold[:, None], grad, np.ndim(logits) == 1)
+    valid = tree.path_columns[gold] == gold[:, None]
+    return _report(probs[rows, gold][:, None], valid, grad, np.ndim(logits) == 1)
 
 
 def gradient_check(fn, x) -> float:

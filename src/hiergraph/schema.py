@@ -350,22 +350,22 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
     )
 
 
-def _record_keys(doc_id: str, record) -> tuple[str, tuple] | None:
-    """The split and match keys of a decoded wire-format record that the
-    loader accepts as it stands; None for any other record whose head
-    reads.  This is the acceptance test of both readers that skip
-    building graphs: ``eval``'s key reader, and ``corpus.load_dataset``
-    for the records outside the splits it selects.
+def _record_keys(doc_id: str, head: tuple) -> tuple | None:
+    """The match keys of a decoded wire-format record that the loader
+    accepts as it stands, given the record's ``_record_head``; None for
+    any other record.  This is the acceptance test of ``corpus._selected``,
+    the one loop that reads a file's records by split: it gives ``eval``'s
+    key reader its keys, and it checks, without building a graph, each
+    record outside the splits that ``corpus.load_dataset`` selects.
 
-    The head is read by ``parse_report``'s own ``_record_head``, whose
-    errors propagate: the loader reads it before any entity, so it would
-    raise the same error first.  Accepted means that every test the
-    loader applies to the entities passes too: ``parse_report``'s shape
-    checks (labels mapped as it maps them) and the STRUCTURAL_RULES of
-    ``validate_graph``.  The keys are those ``evaluation._match_keys``
-    gives of the parsed report.
+    The caller reads the head once, as the loader reads it before any
+    entity.  Accepted means that every test the loader applies to the
+    entities passes too: ``parse_report``'s shape checks (labels mapped
+    as it maps them) and the STRUCTURAL_RULES of ``validate_graph``.
+    The keys are those ``evaluation._match_keys`` gives of the parsed
+    report.
     """
-    text, split, source, entities = _record_head(doc_id, record)
+    text, _, source, entities = head
     tokens = tuple(map(sys.intern, text.split()))
     n = len(tokens)
     entity_keys: dict[str, tuple] = {}
@@ -407,7 +407,7 @@ def _record_keys(doc_id: str, record) -> tuple[str, tuple] | None:
             ):
                 return None
             relation_keys.append((_KIND_OBJECT[kind], entity_keys[eid], entity_keys[target]))
-    return split, (
+    return (
         doc_id,
         source,
         tokens,

@@ -27,6 +27,7 @@ from hiergraph import (
     build_vocab,
     conditional_hier_loss,
     leaf_distribution,
+    load_dataset,
     tag_tree_for,
     to_token_labeling,
     relation_signature_allowed,
@@ -452,6 +453,24 @@ def reference_dataset_text(ds, meta=None):
         doc["_meta"] = meta
     doc.update({r.doc_id: serialize_report(r) for r in ds.reports})
     return json.dumps(doc, indent=1) + "\n"
+
+
+# --- split selection, every report loaded first -------------------------------
+
+
+def reference_load_selected(path, splits):
+    """The reports of ``path`` in ``splits``: every report loaded, then
+    filtered; EmptyDataset, naming the splits the file holds, if none
+    is left."""
+    reports = load_dataset(path).reports
+    chosen = [r for r in reports if r.split in splits]
+    if not chosen:
+        held = [s for s in SPLITS if any(r.split == s for r in reports)]
+        raise EmptyDataset(
+            f"{path} holds no reports in {', '.join(splits)} "
+            f"(its splits: {', '.join(held) or 'none'})"
+        )
+    return chosen
 
 
 # --- record loader, one helper call per check ---------------------------------

@@ -380,7 +380,7 @@ class TestSplitSelection:
             assert "--splits names no split" in capsys.readouterr().err
         assert not os.path.exists(os.path.dirname(files["out"]))
 
-    def test_empty_selection_names_the_files_splits(self, files, capsys):
+    def test_empty_selection_names_the_files_splits(self, files, tmp_path, capsys):
         # Train's default, train and validation, holds nothing in an
         # all-test file: it must not train on the test split instead.
         train, predict, evaluate = self.commands(files, files["test"])
@@ -390,6 +390,14 @@ class TestSplitSelection:
         for argv in self.commands(files, files["test"], "--splits", "Dev"):
             assert main(argv) == 2, argv
             assert "holds no reports in validation (its splits: test)" in capsys.readouterr().err
+        # predict's and eval's default, every split, holds nothing in a
+        # file without reports.
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        for argv in self.commands(files, str(empty))[1:]:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "holds no reports in train, validation, test (its splits: none)" in err
         assert not os.path.exists(os.path.dirname(files["out"]))
 
     def test_aliases_select(self, files, capsys):
@@ -633,10 +641,10 @@ class TestEvalChildProcess:
     def test_child_dies_without_result(self, small_path, forks, monkeypatch, capsys):
         parent, read = os.getpid(), evaluation.read_match_keys
 
-        def read_or_die(path):
+        def read_or_die(path, splits):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return read(path)
+            return read(path, splits)
 
         monkeypatch.setattr(evaluation, "read_match_keys", read_or_die)
         assert main(["eval", small_path, small_path]) == 1
@@ -649,10 +657,10 @@ class TestEvalChildProcess:
     def test_interrupted_parent_kills_child(self, small_path, forks, monkeypatch):
         parent, read = os.getpid(), evaluation.read_match_keys
 
-        def interrupted_in_parent(path):
+        def interrupted_in_parent(path, splits):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return read(path)
+            return read(path, splits)
 
         monkeypatch.setattr(evaluation, "read_match_keys", interrupted_in_parent)
         with pytest.raises(KeyboardInterrupt):

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from hiergraph import (
     tokenize,
     validate_graph,
 )
-from hiergraph import cli, corpus, schema
+from hiergraph import cli, corpus, evaluation, schema
 from hiergraph.cli import main
 from hiergraph.corpus import ENTITY_ROWS, atomic_write, parse_dataset
 from hiergraph.schema import Entity, ReportGraph
@@ -43,7 +44,7 @@ from hiergraph.synth import (
 )
 
 from mutations import records
-from oracles import reference_dataset_text
+from oracles import reference_dataset_text, reference_load_selected
 
 # Strings JSON must escape or may pass through: quotes, backslashes,
 # control characters, non-ASCII text and U+2028, which JavaScript reads
@@ -280,9 +281,11 @@ LOAD_SPLITS = (None, "train", "test", "dev,test")
 class TestSelectedLoad:
     """``load_dataset(path, splits)`` builds graphs only for the reports
     in ``splits``; what it returns, or the error it raises, is what
-    loading every report and then selecting (``cli._select``) gives.
-    With every split selected (None) nothing is selected away, and an
-    empty file loads as empty."""
+    loading every report and then selecting
+    (``oracles.reference_load_selected``) gives.  With every split
+    selected (no ``--splits``) nothing is selected away, and an empty
+    file holds no report to select, though it loads as empty when
+    nothing is selected."""
 
     @staticmethod
     def outcome(read):
@@ -292,17 +295,13 @@ class TestSelectedLoad:
             return type(exc), str(exc)
 
     def assert_loads_as_selected(self, doc, splits_text):
-        splits = cli._parse_splits(splits_text, None)
+        splits = cli._parse_splits(splits_text)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.json")
             with open(path, "w") as fh:
                 json.dump(doc, fh)
             got = self.outcome(lambda: load_dataset(path, splits).reports)
-            everything = lambda: load_dataset(path).reports
-            want = self.outcome(
-                everything if splits is None
-                else lambda: cli._select(everything(), splits, path)
-            )
+            want = self.outcome(lambda: reference_load_selected(path, splits))
         assert got == want
         return got
 
@@ -335,15 +334,42 @@ class TestSelectedLoad:
             "b": {"tokens": "new", "label": "CHAN-NC", "start_ix": 1, "end_ix": 1,
                   "relations": [["modify", 7]]},
         }}
-        assert schema._record_keys("n", numeric) is None
+        assert schema._record_keys("n", schema._record_head("n", numeric)) is None
         doc = {"t": {"text": "clear", "split": "train"}, "n": numeric}
         assert [r[0] for r in self.assert_loads_as_selected(doc, "train")] == ["t"]
 
-    def test_empty_selection(self):
+    def test_empty_selection(self, tmp_path):
         err = self.assert_loads_as_selected({"a": {"text": "x", "split": "test"}}, "dev")
         assert err[0] is EmptyDataset
         assert err[1].endswith("data.json holds no reports in validation (its splits: test)")
-        assert self.assert_loads_as_selected({}, None) == []
+        err = self.assert_loads_as_selected({}, None)
+        assert err[0] is EmptyDataset
+        assert err[1].endswith(
+            "data.json holds no reports in train, validation, test (its splits: none)"
+        )
+        unselected = tmp_path / "data.json"
+        unselected.write_text("{}")
+        assert load_dataset(str(unselected)).reports == []
+
+    def test_head_reads(self, small_path, monkeypatch):
+        """Selecting reads each record's head once.  A record that becomes
+        a graph has it read again by ``parse_report``; one outside the
+        selection, or one that becomes match keys, does not."""
+        reports = load_dataset(small_path).reports
+        assert {"train", "test"} <= {r.split for r in reports}
+        reads, head = Counter(), schema._record_head
+
+        def counted(doc_id, record):
+            reads[doc_id] += 1
+            return head(doc_id, record)
+
+        monkeypatch.setattr(schema, "_record_head", counted)
+        monkeypatch.setattr(corpus, "_record_head", counted)
+        load_dataset(small_path, ("train",))
+        assert reads == {r.doc_id: 2 if r.split == "train" else 1 for r in reports}
+        reads.clear()
+        evaluation.read_match_keys(small_path, ("train",))
+        assert reads == {r.doc_id: 1 for r in reports}
 
 
 class TestAtomicWrite:

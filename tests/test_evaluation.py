@@ -23,13 +23,13 @@ from hiergraph.evaluation import (
     EVAL_MODES,
     _match_keys,
     _min_count_match,
-    _record_keys,
     evaluate_report,
     grouped_row,
+    read_match_keys,
 )
 from hiergraph import cli
-from hiergraph.corpus import Dataset, load_dataset
-from hiergraph.schema import SOURCES, prune_to_radgraph1
+from hiergraph.corpus import Dataset
+from hiergraph.schema import SOURCES, SPLITS, prune_to_radgraph1
 from hiergraph.synth import make_random_corpus, perturb_predictions
 
 from mutations import records
@@ -39,6 +39,7 @@ from oracles import (
     brute_relation_counts,
     reference_aggregate,
     reference_evaluate_report,
+    reference_load_selected,
     reference_min_count_match,
 )
 
@@ -499,8 +500,8 @@ SPLITS_TEXTS = (None, "test", "train,validation")
 
 class TestReadMatchKeys:
     """``eval`` reads each file straight to match keys.  What it reads,
-    or the error it raises, is what the loader, the split selection and
-    ``_match_keys`` give."""
+    or the error it raises, is what loading every report, selecting
+    (``oracles.reference_load_selected``) and ``_match_keys`` give."""
 
     @staticmethod
     def outcome(read):
@@ -510,17 +511,14 @@ class TestReadMatchKeys:
             return type(exc), str(exc)
 
     def assert_reads_as_loaded(self, drawn, splits_text):
-        splits = cli._parse_splits(splits_text, None)
+        splits = cli._parse_splits(splits_text)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "data.json")
             with open(path, "w") as fh:
                 json.dump({f"r{i}": record for i, record in enumerate(drawn)}, fh)
-            read = self.outcome(lambda: cli._eval_keys(path, splits))
+            read = self.outcome(lambda: read_match_keys(path, splits))
             loaded = self.outcome(
-                lambda: [
-                    _match_keys(r)
-                    for r in cli._select(load_dataset(path).reports, splits, path)
-                ]
+                lambda: [_match_keys(r) for r in reference_load_selected(path, splits)]
             )
         assert read == loaded
 
@@ -535,10 +533,12 @@ class TestReadMatchKeys:
             self.assert_reads_as_loaded([RULE_RECORDS["clean"], RULE_RECORDS[name]], splits_text)
 
     @pytest.mark.parametrize("name", sorted(HEAD_RECORDS))
-    def test_head_error_raised_by_reader(self, name):
+    def test_head_error_raised_by_reader(self, name, tmp_path):
         record = HEAD_RECORDS[name]
         with pytest.raises(MalformedRecord) as loaded:
             parse_report("r1", record)
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"r1": record}))
         with pytest.raises(MalformedRecord) as read:
-            _record_keys("r1", record)
+            read_match_keys(str(path), SPLITS)
         assert str(read.value) == str(loaded.value)
