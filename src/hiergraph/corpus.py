@@ -133,7 +133,9 @@ def _selected(path: str, splits, build) -> list:
     """``build(doc_id, record, head)`` of each record of the annotation
     file ``path`` in ``splits``, in file order, ``head`` being its
     ``_record_head``, read once here; EmptyDataset, naming the splits the
-    file holds, if there is none.  The one loop that selects by split.
+    file holds, if there is none.  The one loop that selects by split,
+    for ``load_dataset`` (graphs), ``evaluation.read_match_keys`` (match
+    keys) and the CLI's ``predict`` (the fields it predicts from).
 
     Every record is checked, so a file fails as it would unselected.  A
     record outside ``splits`` builds nothing: it passes the key reader's

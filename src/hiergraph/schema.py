@@ -355,8 +355,9 @@ def _record_keys(doc_id: str, head: tuple) -> tuple | None:
     accepts as it stands, given the record's ``_record_head``; None for
     any other record.  This is the acceptance test of ``corpus._selected``,
     the one loop that reads a file's records by split: it gives ``eval``'s
-    key reader its keys, and it checks, without building a graph, each
-    record outside the splits that ``corpus.load_dataset`` selects.
+    key reader its keys, it checks, without building a graph, each
+    record outside the selected splits, and the CLI's ``predict`` runs it
+    on each selected record, whose tokens it takes from the keys.
 
     The caller reads the head once, as the loader reads it before any
     entity.  Accepted means that every test the loader applies to the

@@ -20,7 +20,9 @@ raises ``TrainingDiverged``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
+from . import losses
 from ._lazy import numpy as np
 from .corpus import Dataset, to_token_labeling
 from .errors import (
@@ -30,7 +32,6 @@ from .errors import (
     TaxonomyMismatch,
     TrainingDiverged,
 )
-from .losses import conditional_hier_loss, unconditional_loss
 from .schema import ENTITY_LABELS, NONE_LABEL, Entity
 from .settings import TrainConfig
 from .taxonomy import TaxonomyTree
@@ -125,24 +126,25 @@ def _scatter_rows(token_ids: np.ndarray, grads: np.ndarray, n_rows: int) -> np.n
     return np.bincount(cells, weights=grads.ravel(), minlength=n_rows * e).reshape(n_rows, e)
 
 
-def _blocks(reports: list[np.ndarray], window: int):
-    """The token-id arrays ``reports``, in order, in blocks of at most
+def _blocks(sizes: list[int], window: int):
+    """Reports of ``sizes`` tokens, in order, in blocks of at most
     ``_BLOCK_TOKENS`` tokens; a longer report is a block alone.
 
-    Yields ``(token_ids, rows, length)``: the block's token ids, the row
-    of each in the block's sequence, and that sequence's length.  The
-    sequence puts ``window`` gap slots between consecutive reports.
+    Yields ``(start, stop, rows, length)``: the block's tokens are
+    ``start:stop`` of the reports' tokens laid end to end; ``rows`` gives
+    the row of each in the block's sequence, and ``length`` that
+    sequence's length.  The sequence puts ``window`` gap slots between
+    consecutive reports.
     """
-    start = 0
-    while start < len(reports):
-        stop, size = start + 1, len(reports[start])
-        while stop < len(reports) and size + len(reports[stop]) <= _BLOCK_TOKENS:
-            size += len(reports[stop])
-            stop += 1
-        group = reports[start:stop]
-        gaps = window * np.repeat(np.arange(len(group)), [len(ids) for ids in group])
-        yield np.concatenate(group), np.arange(size) + gaps, size + window * (len(group) - 1)
-        start = stop
+    first = start = 0
+    while first < len(sizes):
+        last, size = first + 1, sizes[first]
+        while last < len(sizes) and size + sizes[last] <= _BLOCK_TOKENS:
+            size += sizes[last]
+            last += 1
+        gaps = window * np.repeat(np.arange(last - first), sizes[first:last])
+        yield start, start + size, np.arange(size) + gaps, size + window * (last - first - 1)
+        first, start = last, start + size
 
 
 def _block_features(params: TaggerParams, token_ids, rows, length) -> np.ndarray:
@@ -219,10 +221,11 @@ def _run_phase(
             ]
             if not batch:
                 continue
-            blocks = list(_blocks([token_ids for token_ids, _ in batch], params.window))
+            batch_ids = np.concatenate([token_ids for token_ids, _ in batch])
+            blocks = list(_blocks([len(token_ids) for token_ids, _ in batch], params.window))
             feats, logits = [], []
-            for token_ids, rows, length in blocks:
-                phi = _block_features(params, token_ids, rows, length)
+            for start, stop, rows, length in blocks:
+                phi = _block_features(params, batch_ids[start:stop], rows, length)
                 feats.append(phi)
                 logits.append((phi @ params.weights)[rows])
             try:
@@ -242,21 +245,14 @@ def _run_phase(
                 depth_sums[d] = depth_sums.get(d, 0.0) + v
 
             d_w = np.zeros_like(params.weights)
-            ends = np.cumsum([len(token_ids) for token_ids, _, _ in blocks])
             d_rows = []
-            for (token_ids, rows, length), phi, g_real in zip(
-                blocks, feats, np.split(report.grad, ends[:-1])
-            ):
+            for (start, stop, rows, length), phi in zip(blocks, feats):
                 g = np.zeros((length, n_leaves))
-                g[rows] = g_real
+                g[rows] = report.grad[start:stop]
                 d_w += phi.T @ g
                 d_rows.append(_embedding_grad(params, g @ params.weights.T)[rows])
-            d_emb = _scatter_rows(
-                np.concatenate([ids for ids, _, _ in blocks]),
-                np.concatenate(d_rows),
-                len(params.embeddings),
-            )
-            n = int(ends[-1])
+            d_emb = _scatter_rows(batch_ids, np.concatenate(d_rows), len(params.embeddings))
+            n = len(batch_ids)
             token_count += n
             d_w /= n
             grad_norm_sum += float(np.linalg.norm(d_w))
@@ -320,8 +316,8 @@ def train_two_phase(
     # not as numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for phase, loss_fn, epochs, lr in (
-            (1, conditional_hier_loss, cfg.phase1_epochs, cfg.lr_phase1),
-            (2, unconditional_loss, cfg.phase2_epochs, cfg.lr_phase2),
+            (1, losses.conditional_hier_loss, cfg.phase1_epochs, cfg.lr_phase1),
+            (2, losses.unconditional_loss, cfg.phase2_epochs, cfg.lr_phase2),
         ):
             record = _run_phase(
                 params, tag_tree, samples, loss_fn, epochs, lr, cfg, rng, phase, on_epoch
@@ -340,7 +336,8 @@ def predict_tags(params: TaggerParams, tree: TaxonomyTree, tokens) -> list:
 
     ``tokens`` is one report's token sequence, which gives its tag list,
     or a list of such sequences, which gives one tag list per report.
-    Reports run in the same blocks as training (see ``_blocks``), so a
+    The batch's token ids are looked up in one pass into one array, and
+    reports run in the same blocks as training (see ``_blocks``), so a
     batch costs one set of array calls per block, not per report.
     """
     expected = tag_tree_for(tree).leaves
@@ -350,13 +347,15 @@ def predict_tags(params: TaggerParams, tree: TaxonomyTree, tokens) -> list:
             f"({params.labels} vs {expected})"
         )
     batch = len(tokens) > 0 and not isinstance(tokens[0], str)
-    ids = [_token_ids(params.vocab, report) for report in (tokens if batch else [tokens])]
+    reports = tokens if batch else [tokens]
+    ids = _token_ids(params.vocab, chain.from_iterable(reports))
+    sizes = [len(report) for report in reports if len(report)]
     names: list[str] = []
-    for token_ids, rows, length in _blocks([r for r in ids if len(r)], params.window):
-        logits = (_block_features(params, token_ids, rows, length) @ params.weights)[rows]
+    for start, stop, rows, length in _blocks(sizes, params.window):
+        logits = (_block_features(params, ids[start:stop], rows, length) @ params.weights)[rows]
         names.extend(params.labels[i] for i in np.argmax(logits + params.bias, axis=1).tolist())
     tags, start = [], 0
-    for report in ids:
+    for report in reports:
         tags.append(names[start : start + len(report)])
         start += len(report)
     return tags if batch else tags[0]

@@ -8,11 +8,14 @@ index lookups, and the record loader and strict evaluator written
 with per-call helpers, Counters and two merges per report instead of
 import-time tables and plain dicts, and the dataset writer as one
 indented dump of the whole document instead of one compact line per
-report.  Slow is fine; agreeing with these is the point.
+report, and ``predict`` through whole report graphs instead of only the
+fields it predicts from.  Slow is fine; agreeing with these is the
+point.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import mpmath as mp
@@ -21,13 +24,20 @@ import numpy as np
 from collections import Counter
 
 from hiergraph import (
+    Dataset,
     Relation,
     RelationScorerParams,
     TaggerParams,
+    __version__,
     build_vocab,
     conditional_hier_loss,
+    decode_entities,
     leaf_distribution,
     load_dataset,
+    load_model,
+    predict_relations,
+    predict_tags,
+    save_dataset,
     tag_tree_for,
     to_token_labeling,
     relation_signature_allowed,
@@ -471,6 +481,36 @@ def reference_load_selected(path, splits):
             f"(its splits: {', '.join(held) or 'none'})"
         )
     return chosen
+
+
+# --- predict, through report graphs ------------------------------------------
+
+
+def reference_predict(model_path, data_path, out_path, splits, single_token=False):
+    """``predict`` on report graphs: each selected report loaded with its
+    gold entities and relations (``load_dataset(path, splits)``), which
+    ``dataclasses.replace`` then swaps for the predicted ones, and the
+    result written with ``save_dataset``."""
+    model = load_model(model_path)
+    reports = load_dataset(data_path, splits).reports
+    tokens = [report.tokens for report in reports]
+    tags = predict_tags(model.tagger, model.tree, tokens)
+    entities = [
+        decode_entities(report_tags, report_tokens, single_token=single_token)
+        for report_tags, report_tokens in zip(tags, tokens)
+    ]
+    if model.relations:
+        relations = predict_relations(model.relations, entities)
+    else:
+        relations = [[] for _ in entities]
+    predicted = [
+        dataclasses.replace(
+            report, entities={e.id: e for e in report_entities}, relations=tuple(report_relations)
+        )
+        for report, report_entities, report_relations in zip(reports, entities, relations)
+    ]
+    meta = {"version": __version__, "taxonomy_hash": model.tree.config_hash}
+    save_dataset(Dataset(predicted), out_path, meta=meta)
 
 
 # --- record loader, one helper call per check ---------------------------------

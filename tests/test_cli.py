@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
@@ -27,20 +28,24 @@ from hiergraph import (
     TaggerParams,
     TaxonomyTree,
     cli,
+    corpus,
     evaluation,
     load_dataset,
     load_taxonomy,
     model_io,
     save_dataset,
     save_model,
+    schema,
 )
 from hiergraph.cli import build_parser, main
+from hiergraph.errors import FileUnreadable, HierGraphError
 from hiergraph.evaluation import EVAL_MODES
 from hiergraph.relations import FEATURE_DIM, OUTPUT_KINDS, RelationScorerParams
 from hiergraph.schema import GROUPS
 from hiergraph.synth import make_random_corpus, make_separable_corpus, perturb_predictions
 
-from mutations import JUNK, MUTATIONS, junk, valid_records
+from mutations import JUNK, MUTATIONS, junk, records, valid_records
+from oracles import reference_predict
 
 
 @pytest.fixture(scope="module")
@@ -516,6 +521,135 @@ class TestPredictEval:
         bad.write_text(json.dumps(doc))
         assert main(["predict", str(bad), str(work["data"]), "-o", str(tmp_path / "p.json")]) == 2
         capsys.readouterr()
+
+
+class TestPredictReader:
+    """``predict`` reads only what it predicts from: the doc id, text,
+    tokens, split and source of each selected record.  Its prediction
+    file, exit code and stderr are those of the path through report
+    graphs (``oracles.reference_predict``), which loads each selected
+    record whole and swaps its gold entities and relations out."""
+
+    @staticmethod
+    def run_both(model, data, splits=None, single_token=False):
+        """(exit code, stderr, file bytes or None) of ``predict`` and of
+        the reference, which reports errors as ``main`` does."""
+        flags = (["--splits", splits] if splits else []) + (
+            ["--single-token"] if single_token else [])
+        outcomes = []
+        with tempfile.TemporaryDirectory() as tmp:
+            got, want = os.path.join(tmp, "got.json"), os.path.join(tmp, "want.json")
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["predict", str(model), str(data), *flags, "-o", got])
+            outcomes.append((code, err.getvalue()))
+            try:
+                reference_predict(str(model), str(data), want, cli._parse_splits(splits),
+                                  single_token)
+                outcomes.append((0, ""))
+            except (FileUnreadable, OSError) as exc:
+                outcomes.append((1, f"error: {exc}\n"))
+            except HierGraphError as exc:
+                outcomes.append((2, f"invalid: {exc}\n"))
+            return [
+                (*outcome, Path(path).read_bytes() if os.path.exists(path) else None)
+                for outcome, path in zip(outcomes, (got, want))
+            ]
+
+    def assert_predicts_as_reference(self, model, data, splits=None, single_token=False):
+        got, want = self.run_both(model, data, splits, single_token)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("single_token", [False, True])
+    @pytest.mark.parametrize("splits", [None, "test", "train,dev"])
+    @pytest.mark.parametrize("data", ["small", "corpus"])
+    def test_fixtures(self, data, splits, single_token, work, small_path):
+        path = small_path if data == "small" else work["data"]
+        code, err, written = self.assert_predicts_as_reference(
+            work["model"], path, splits, single_token)
+        # The training corpus holds no test report.
+        if (data, splits) == ("corpus", "test"):
+            assert code == 2 and "holds no reports in test (its splits: train)" in err
+        else:
+            assert code == 0 and written
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(records(), max_size=4), st.sampled_from([None, "train", "test", "dev,test"]))
+    def test_drawn_files(self, work, drawn, splits):
+        """Files whose records may break any loading rule, inside or
+        outside the selection."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.json")
+            with open(path, "w") as fh:
+                json.dump({f"r{i}": record for i, record in enumerate(drawn)}, fh)
+            self.assert_predicts_as_reference(work["model"], path, splits)
+
+    def test_record_only_the_loader_accepts(self, work, tmp_path):
+        """A relation target written as a number fails the key reader's
+        test but loads: inside the selection it is predicted from its
+        graph, outside it does not stop ``predict``."""
+        numeric = {"text": "no new effusion", "split": "test", "entities": {
+            "7": {"tokens": "effusion", "label": "OBS-DA", "start_ix": 2, "end_ix": 2},
+            "b": {"tokens": "new", "label": "CHAN-NC", "start_ix": 1, "end_ix": 1,
+                  "relations": [["modify", 7]]},
+        }}
+        assert schema._record_keys("n", schema._record_head("n", numeric)) is None
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"t": {"text": "clear effusion", "split": "train"},
+                                    "n": numeric}))
+        for splits in (None, "test", "train"):
+            code, _, written = self.assert_predicts_as_reference(work["model"], path, splits)
+            assert code == 0
+            assert list(json.loads(written)) == ["_meta"] + (["t"] if splits != "test" else []) + (
+                ["n"] if splits != "train" else [])
+
+    BAD_FILES = {
+        "missing": None,
+        "empty": "{}",
+        "not-json": "{",
+        "not-an-object": "[]",
+        "head-error": '{"a": {"text": 3}}',
+        "unknown-split": '{"a": {"text": "x", "split": "bogus"}}',
+        "selected-structural": '{"a": {"text": "x", "split": "test", "entities": '
+                               '{"e": {"tokens": "y", "label": "OBS-DP", "start_ix": 0, '
+                               '"end_ix": 0}}}}',
+        "unselected-structural": '{"a": {"text": "x", "split": "train", "entities": '
+                                 '{"e": {"tokens": "x", "label": "FOO", "start_ix": 0, '
+                                 '"end_ix": 0}}}, "b": {"text": "x", "split": "test"}}',
+        "unselected-malformed": '{"a": {"text": "x", "split": "train", "entities": '
+                                '{"e": {"tokens": "x", "label": "OBS-DP", "start_ix": true, '
+                                '"end_ix": 0}}}, "b": {"text": "x", "split": "test"}}',
+    }
+
+    @pytest.mark.parametrize("name", BAD_FILES)
+    def test_bad_files(self, name, work, tmp_path):
+        path = tmp_path / "data.json"
+        if self.BAD_FILES[name] is not None:
+            path.write_text(self.BAD_FILES[name])
+        for splits in (None, "test"):
+            code, err, written = self.assert_predicts_as_reference(work["model"], path, splits)
+            assert code in (1, 2) and err and written is None, (splits, err)
+
+    def test_head_reads(self, work, small_path, tmp_path, monkeypatch):
+        """Each record's head is read once, selected or not."""
+        reports = load_dataset(small_path).reports
+        assert {"train", "test"} <= {r.split for r in reports}
+        reads, head = Counter(), schema._record_head
+
+        def counted(doc_id, record):
+            reads[doc_id] += 1
+            return head(doc_id, record)
+
+        monkeypatch.setattr(schema, "_record_head", counted)
+        monkeypatch.setattr(corpus, "_record_head", counted)
+        for splits in ([], ["--splits", "test"]):
+            reads.clear()
+            argv = ["predict", str(work["model"]), small_path, *splits,
+                    "-o", str(tmp_path / "pred.json")]
+            with redirect_stdout(io.StringIO()):
+                assert main(argv) == 0
+            assert reads == {r.doc_id: 1 for r in reports}
 
 
 class TestEvalChildProcess:
@@ -1392,6 +1526,123 @@ def test_commands_run_with_collector_paused(small_path, monkeypatch):
     assert main(["stats", small_path]) == 0
     assert seen == [False]
     assert gc.isenabled()
+
+
+class TestExitFreeze:
+    """A process that runs its own command line (``main()`` on
+    ``sys.argv``) freezes the heap in an exit handler, so the shutdown
+    collections skip it; the exit handlers registered before ``main``
+    still run, after it.  An in-process caller (``main(argv)``) keeps its
+    collector as it was."""
+
+    ROOT = Path(__file__).resolve().parents[1]
+    # Runs the command line after it, then reports at exit whether the
+    # heap was frozen by then.
+    LAUNCH = (
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from hiergraph.cli import main\n"
+        "sys.exit(main())\n"
+    )
+
+    def launch(self, code, argv, **environ):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"), **environ)
+        return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @staticmethod
+    def commands(work, small_path, out):
+        model = out / "model.json"
+        return {
+            "train": ["train", small_path, "--phase1-epochs", "1", "--phase2-epochs", "1",
+                      "-o", model],
+            "predict": ["predict", work["model"], work["data"], "-o", out / "pred.json"],
+            "eval": ["eval", small_path, small_path, "--json", "-o", out / "eval.json"],
+            "predict-empty": ["predict", work["model"], work["data"], "--splits", "test",
+                              "-o", out / "pred.json"],
+            "usage": ["frobnicate"],
+        }
+
+    @pytest.mark.parametrize("command", ["stats", "predict"])
+    def test_in_process_main_registers_no_hook(self, command, small_path, work, tmp_path,
+                                               monkeypatch, capsys):
+        argv = {"stats": ["stats", small_path],
+                "predict": ["predict", str(work["model"]), str(work["data"]),
+                            "-o", str(tmp_path / "pred.json")]}[command]
+        # The hook is registered once per process, so a call that asked
+        # for it after another had would register nothing new: count the
+        # requests too.
+        registered = []
+        monkeypatch.setattr("atexit.register", lambda *args: registered.append(args))
+        monkeypatch.setattr(cli, "_freeze_at_exit", lambda: registered.append("requested"))
+        frozen = gc.get_freeze_count()
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                assert main(argv) == 0
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
+        assert registered == []
+        assert gc.get_freeze_count() == frozen
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["train", "predict", "eval", "predict-empty", "usage"])
+    def test_own_command_line_freezes_at_exit(self, command, small_path, work, tmp_path,
+                                              capsys):
+        """Exit code, stderr and output files are those of ``main(argv)``
+        in process."""
+        outs = [tmp_path / "child", tmp_path / "in-process"]
+        for out in outs:
+            out.mkdir()
+        done = self.launch(self.LAUNCH, self.commands(work, small_path, outs[0])[command])
+        *err, frozen = done.stderr.splitlines(keepends=True)
+        assert frozen == "frozen: True\n"
+        capsys.readouterr()
+        argv = [str(a) for a in self.commands(work, small_path, outs[1])[command]]
+        assert (done.returncode, "".join(err)) == (main(argv), capsys.readouterr().err)
+        files = [{p.name: p.read_bytes() for p in out.iterdir()} for out in outs]
+        assert files[0] == files[1]
+        assert bool(files[0]) == (done.returncode == 0)
+
+    def test_one_hook_per_process(self, small_path):
+        done = self.launch(
+            "import atexit, gc\n"
+            "hooks, register = [], atexit.register\n"
+            "atexit.register = lambda func, *args: hooks.append(func) or register(func, *args)\n"
+            "from hiergraph.cli import main\n"
+            "codes = [main(), main()]\n"
+            "print(codes, hooks == [gc.freeze])\n",
+            ["stats", small_path],
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0] True"
+
+    def test_eval_child_runs_no_exit_handler(self, small_path, tmp_path):
+        """``eval``'s forked child reads its file and ends through
+        ``os._exit``: of the processes that read, only the parent runs
+        exit handlers."""
+        log = tmp_path / "log.txt"
+        done = self.launch(
+            "import atexit, os, sys\n"
+            "def note(what):\n"
+            "    with open(os.environ['EXIT_LOG'], 'a') as fh:\n"
+            "        fh.write(f'{what} {os.getpid()}\\n')\n"
+            "atexit.register(note, 'exit')\n"
+            "from hiergraph import evaluation\n"
+            "read = evaluation.read_match_keys\n"
+            "evaluation.read_match_keys = lambda *args: note('read') or read(*args)\n"
+            "from hiergraph.cli import main\n"
+            "sys.exit(main())\n",
+            ["eval", small_path, small_path],
+            EXIT_LOG=str(log),
+        )
+        assert done.returncode == 0, done.stderr
+        lines = [line.split() for line in log.read_text().splitlines()]
+        readers = {pid for what, pid in lines if what == "read"}
+        exits = [pid for what, pid in lines if what == "exit"]
+        assert len(exits) == 1 and exits[0] in readers
+        assert len(readers) == (2 if cli._usable_cpus() >= 2 else 1)
 
 
 def test_traced_benchmark_hits_every_target(tmp_path):

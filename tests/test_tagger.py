@@ -118,10 +118,10 @@ class TestWindowLayout:
             bias=np.zeros(2),
         )
         batch = [rng.integers(0, 12, size=n) for n in rng.permutation(np.arange(1, 8))]
-        [(token_ids, rows, length)] = _blocks(batch, window)
-        assert length == 28 + 6 * window
+        [(start, stop, rows, length)] = _blocks([len(ids) for ids in batch], window)
+        assert (start, stop, length) == (0, 28, 28 + 6 * window)
         x = np.zeros((length, dim))
-        x[rows] = params.embeddings[token_ids]
+        x[rows] = params.embeddings[np.concatenate(batch)]
         y = rng.normal(size=(length, (2 * window + 1) * dim))
         phi = _window_features(params, x)
         assert abs(np.sum(phi * y) - np.sum(x * _embedding_grad(params, y))) <= 1e-12
@@ -135,15 +135,16 @@ class TestWindowLayout:
     def test_blocks_cap_tokens_and_keep_order(self, monkeypatch):
         monkeypatch.setattr(tagger, "_BLOCK_TOKENS", 5)
         lengths = [2, 3, 1, 7, 4, 1, 5]
-        batch = [np.full(n, i) for i, n in enumerate(lengths)]
-        blocks = list(_blocks(batch, 2))
+        ids = np.concatenate([np.full(n, i) for i, n in enumerate(lengths)])
+        blocks = list(_blocks(lengths, 2))
         # 2+3 fill a block; 1 alone, since 1+7 > 5; 7 over the cap alone.
-        assert [np.unique(ids).tolist() for ids, _, _ in blocks] == [
+        assert [np.unique(ids[start:stop]).tolist() for start, stop, _, _ in blocks] == [
             [0, 1], [2], [3], [4, 5], [6]]
-        assert [length for _, _, length in blocks] == [7, 1, 7, 7, 5]
-        np.testing.assert_array_equal(blocks[0][1], [0, 1, 4, 5, 6])
-        np.testing.assert_array_equal(np.concatenate([ids for ids, _, _ in blocks]),
-                                      np.concatenate(batch))
+        assert [length for _, _, _, length in blocks] == [7, 1, 7, 7, 5]
+        np.testing.assert_array_equal(blocks[0][2], [0, 1, 4, 5, 6])
+        # The blocks cover the tokens laid end to end, in order.
+        assert [(start, stop) for start, stop, _, _ in blocks] == [
+            (0, 5), (5, 6), (6, 13), (13, 18), (18, 23)]
 
 
 class TestScatterRows:
