@@ -237,11 +237,23 @@ def _predict_input(doc_id: str, record, head: tuple) -> tuple:
     return doc_id, text, keys[2], split, source
 
 
-@_numpy_first
 def _cmd_predict(args) -> int:
     splits = _parse_splits(args.splits)
+    # Both processes run these modules: run them once, before the fork.
+    _lazy.load(corpus, schema)
+    # The data file is read in a child while this process loads numpy
+    # and the model.  The model is loaded first, so its errors win as
+    # they would in sequence.
+    with _forked(
+        f"loading {args.data}", corpus._selected, args.data, splits, _predict_input
+    ) as inputs:
+        return _predict(args, inputs)
+
+
+@_numpy_first
+def _predict(args, read_inputs) -> int:
     model = model_io.load_model(args.model)
-    inputs = corpus._selected(args.data, splits, _predict_input)
+    inputs = read_inputs()
     tokens = [report_tokens for _, _, report_tokens, _, _ in inputs]
     entities = [
         tagger.decode_entities(tags, report_tokens, single_token=args.single_token)

@@ -168,15 +168,32 @@ def load_dataset(path: str, splits=None) -> Dataset:
 
 
 @contextmanager
+def _about(path: str):
+    """Raise an OSError from the block that names a file as the same
+    error about ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+@contextmanager
 def atomic_write(path: str):
     """A text file to write ``path`` through.  It is a temporary file
     beside ``path`` that replaces it when the block ends without error,
-    so ``path`` holds either its old content or all of the new."""
+    so ``path`` holds either its old content or all of the new.  An
+    OSError creating the temporary file or replacing ``path`` with it
+    names ``path``, the file asked for, not the temporary file."""
     tmp = f"{path}.{os.getpid()}-{os.urandom(4).hex()}.tmp"
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        with _about(path):
+            fh = open(tmp, "x", encoding="utf-8")
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        with _about(path):
+            os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -33,3 +33,27 @@ def small_path():
 @pytest.fixture(scope="session")
 def small_ds(small_path):
     return load_dataset(small_path)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked, with two CPUs usable."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def assert_reaped(pids):
+    """Each of ``pids`` is gone: no child of this process holds it."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

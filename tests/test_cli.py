@@ -44,6 +44,7 @@ from hiergraph.relations import FEATURE_DIM, OUTPUT_KINDS, RelationScorerParams
 from hiergraph.schema import GROUPS
 from hiergraph.synth import make_random_corpus, make_separable_corpus, perturb_predictions
 
+from conftest import assert_reaped
 from mutations import JUNK, MUTATIONS, junk, records, valid_records
 from oracles import reference_predict
 
@@ -643,6 +644,8 @@ class TestPredictReader:
 
         monkeypatch.setattr(schema, "_record_head", counted)
         monkeypatch.setattr(corpus, "_record_head", counted)
+        # The reads are counted in this process, so the file is read here.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         for splits in ([], ["--splits", "test"]):
             reads.clear()
             argv = ["predict", str(work["model"]), small_path, *splits,
@@ -656,28 +659,6 @@ class TestEvalChildProcess:
     """``eval`` loads the prediction file in a forked child.  Its output
     and every error match a load in the process itself, and no child
     outlives ``main``."""
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids of the children forked, with two CPUs usable."""
-        pids = []
-        fork = os.fork
-
-        def recording_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recording_fork)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        return pids
-
-    @staticmethod
-    def assert_reaped(pids):
-        for pid in pids:
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
 
     @pytest.fixture(scope="class")
     def noisy(self, tmp_path_factory):
@@ -694,7 +675,7 @@ class TestEvalChildProcess:
         assert main(argv) == 0
         forked = capsys.readouterr().out
         assert len(forks) == 1
-        self.assert_reaped(forks)
+        assert_reaped(forks)
         monkeypatch.delattr(os, "fork")
         assert main(argv) == 0
         assert capsys.readouterr().out == forked
@@ -744,7 +725,7 @@ class TestEvalChildProcess:
         code = main(argv)
         forked = (code, *capsys.readouterr())
         assert len(forks) == 1
-        self.assert_reaped(forks)
+        assert_reaped(forks)
         monkeypatch.delattr(os, "fork")
         assert (main(argv), *capsys.readouterr()) == forked
         # Gold is read first, so its error wins.
@@ -770,7 +751,7 @@ class TestEvalChildProcess:
         assert main(["eval", str(test_only), str(test_only), "--splits", "train"]) == 2
         assert "holds no reports in train" in capsys.readouterr().err
         assert len(forks) == 1
-        self.assert_reaped(forks)
+        assert_reaped(forks)
 
     def test_child_dies_without_result(self, small_path, forks, monkeypatch, capsys):
         parent, read = os.getpid(), evaluation.read_match_keys
@@ -786,7 +767,7 @@ class TestEvalChildProcess:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "killed by signal 9" in err
         assert len(forks) == 1
-        self.assert_reaped(forks)
+        assert_reaped(forks)
 
     def test_interrupted_parent_kills_child(self, small_path, forks, monkeypatch):
         parent, read = os.getpid(), evaluation.read_match_keys
@@ -800,13 +781,178 @@ class TestEvalChildProcess:
         with pytest.raises(KeyboardInterrupt):
             main(["eval", small_path, small_path])
         assert len(forks) == 1
-        self.assert_reaped(forks)
+        assert_reaped(forks)
 
     def test_one_cpu_loads_in_process(self, small_path, forks, monkeypatch, capsys):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert main(["eval", small_path, small_path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entity_f1_micro"] == 1.0
         assert forks == []
+
+
+class TestPredictChildProcess:
+    """``predict`` reads its data file in a forked child while it loads
+    numpy and the model.  Its exit code, stdout, stderr and prediction
+    file match a read in the process itself, the model's errors win, and
+    no child outlives ``main``."""
+
+    @staticmethod
+    def run(argv, out, capsys):
+        """(exit code, stdout, stderr, file bytes or None) of ``main(argv)``,
+        removing the file it wrote."""
+        code = main([str(a) for a in argv])
+        written = out.read_bytes() if out.exists() else None
+        if written is not None:
+            out.unlink()
+        return (code, *capsys.readouterr(), written)
+
+    def forked_and_in_process(self, argv, out, forks, monkeypatch, capsys):
+        """The outcome of ``argv`` with the fork forced on, which it must
+        also be with one usable CPU."""
+        forked = self.run(argv, out, capsys)
+        assert len(forks) == 1
+        assert_reaped(forks)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert self.run(argv, out, capsys) == forked
+        assert len(forks) == 1
+        return forked
+
+    @pytest.mark.parametrize("splits", [None, "test", "train,dev"])
+    @pytest.mark.parametrize("data", ["small", "corpus"])
+    def test_fork_and_in_process_agree(self, data, splits, work, small_path, tmp_path, forks,
+                                       monkeypatch, capsys):
+        out = tmp_path / "pred.json"
+        argv = ["predict", work["model"], small_path if data == "small" else work["data"],
+                *(["--splits", splits] if splits else []), "-o", out]
+        code, _, err, written = self.forked_and_in_process(argv, out, forks, monkeypatch, capsys)
+        # The training corpus holds no test report.
+        if (data, splits) == ("corpus", "test"):
+            assert code == 2 and "holds no reports in test" in err and written is None
+        else:
+            assert code == 0 and err == "" and written
+
+    @pytest.mark.parametrize("splits", [None, "test"])
+    @pytest.mark.parametrize("name", TestPredictReader.BAD_FILES)
+    def test_bad_files(self, name, splits, work, tmp_path, forks, monkeypatch, capsys):
+        """The child's error comes back with the loader's type and message."""
+        path, out = tmp_path / "data.json", tmp_path / "pred.json"
+        if TestPredictReader.BAD_FILES[name] is not None:
+            path.write_text(TestPredictReader.BAD_FILES[name])
+        argv = ["predict", work["model"], path, *(["--splits", splits] if splits else []),
+                "-o", out]
+        code, _, err, written = self.forked_and_in_process(argv, out, forks, monkeypatch, capsys)
+        assert code in (1, 2) and len(err.splitlines()) == 1 and written is None
+        assert "Traceback" not in err and "ChildProcessError" not in err
+
+    @pytest.mark.parametrize("data_kind", ["missing", "not-json", "selected-structural"])
+    @pytest.mark.parametrize("model_kind", ["missing", "not-json"])
+    def test_model_error_wins(self, model_kind, data_kind, work, tmp_path, forks, monkeypatch,
+                              capsys):
+        model, data, out = tmp_path / "model.json", tmp_path / "data.json", tmp_path / "pred.json"
+        if model_kind == "not-json":
+            model.write_text("{")
+        if data_kind != "missing":
+            data.write_text(TestPredictReader.BAD_FILES[data_kind])
+        argv = ["predict", model, data, "--splits", "test", "-o", out]
+        code, _, err, written = self.forked_and_in_process(argv, out, forks, monkeypatch, capsys)
+        # The same error as with a good data file.
+        assert self.run(["predict", model, work["data"], "-o", out], out, capsys) == (
+            code, "", err, None)
+        assert code == (1 if model_kind == "missing" else 2)
+        assert len(err.splitlines()) == 1 and str(model) in err and str(data) not in err
+
+    def test_child_dies_without_result(self, work, tmp_path, forks, monkeypatch, capsys):
+        parent, read = os.getpid(), corpus._selected
+
+        def read_or_die(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return read(*args)
+
+        monkeypatch.setattr(corpus, "_selected", read_or_die)
+        out = tmp_path / "pred.json"
+        code, _, err, written = self.run(
+            ["predict", work["model"], work["data"], "-o", out], out, capsys)
+        assert code == 1 and written is None
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "killed by signal 9" in err
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupted_parent_kills_child(self, work, tmp_path, forks, monkeypatch):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(model_io, "load_model", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["predict", str(work["model"]), str(work["data"]),
+                  "-o", str(tmp_path / "pred.json")])
+        assert len(forks) == 1
+        assert_reaped(forks)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_one_cpu_reads_in_process(self, work, tmp_path, forks, monkeypatch, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        out = tmp_path / "pred.json"
+        code, *_, written = self.run(["predict", work["model"], work["data"], "-o", out],
+                                     out, capsys)
+        assert code == 0 and written
+        assert forks == []
+
+    def test_forks_before_numpy_runs(self, work, tmp_path):
+        """In a process that runs its own command line, numpy's code has
+        not run when ``predict`` forks, so the child inherits no BLAS
+        thread pool; it has run by the time ``main`` returns."""
+        root = Path(__file__).resolve().parents[1]
+        code = (
+            "import json, os, sys, types\n"
+            "from hiergraph import _lazy\n"
+            "from hiergraph.cli import main\n"
+            "fork, lazy = os.fork, []\n"
+            "def recording_fork():\n"
+            "    lazy.append(type(_lazy.numpy) is not types.ModuleType)\n"
+            "    return fork()\n"
+            "os.fork = recording_fork\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "code = main()\n"
+            "print(json.dumps([code, lazy, type(_lazy.numpy) is types.ModuleType]))\n"
+        )
+        argv = ["predict", work["model"], work["data"], "-o", tmp_path / "pred.json"]
+        done = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                              env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, [True], True]
+
+
+class TestOutputErrors:
+    """A target that cannot be written is named as given: no temporary
+    file in the message, the same message on every run, nothing left."""
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", ["train", "predict", "eval", "stats", "prune",
+                                         "export-dot"])
+    def test_error_names_the_given_path(self, command, target, work, small_path, tmp_path,
+                                        capsys):
+        out = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path / "out"
+        if target == "directory":
+            out.mkdir()
+        argv = {
+            "train": ["train", small_path, "--phase1-epochs", "1", "--phase2-epochs", "1"],
+            "predict": ["predict", work["model"], small_path],
+            "eval": ["eval", small_path, small_path],
+            "stats": ["stats", small_path],
+            "prune": ["prune", small_path],
+            "export-dot": ["export-dot", small_path, "--doc", "mimic-1"],
+        }[command] + ["-o", out]
+        before = sorted(tmp_path.rglob("*"))
+        runs = [(main([str(a) for a in argv]), capsys.readouterr().err) for _ in range(2)]
+        assert runs[0] == runs[1]
+        code, err = runs[0]
+        assert code == 1 and err.startswith("error:") and len(err.splitlines()) == 1
+        assert f"'{out}" in err and ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestMalformedModel:
