@@ -410,10 +410,10 @@ def cohens_kappa(a, b) -> float:
 def dataset_kappa(ds_a: Dataset, ds_b: Dataset) -> float:
     """Token-level kappa between two annotation sets of the same reports."""
     by_a, by_b = ds_a.by_id(), ds_b.by_id()
-    if set(by_a) != set(by_b):
-        only_a = sorted(set(by_a) - set(by_b))
-        only_b = sorted(set(by_b) - set(by_a))
-        raise DocMismatch(f"doc sets differ (only in A: {only_a}, only in B: {only_b})")
+    if by_a.keys() != by_b.keys():
+        raise DocMismatch.doc_sets(
+            "only in A", by_a.keys() - by_b.keys(), "only in B", by_b.keys() - by_a.keys()
+        )
     labels_a: list[str] = []
     labels_b: list[str] = []
     for doc_id in sorted(by_a):

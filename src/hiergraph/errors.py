@@ -133,4 +133,22 @@ class TaxonomyMismatch(HierGraphError):
 # --- evaluation -------------------------------------------------------------
 
 class DocMismatch(HierGraphError):
-    pass
+    """Two sides of a comparison hold different reports or tokens."""
+
+    # Doc ids a doc-set message names per side; the rest are counted.
+    SHOWN_IDS = 5
+
+    @classmethod
+    def doc_sets(cls, a: str, a_ids, b: str, b_ids) -> "DocMismatch":
+        """The error for two doc sets that differ: ``a_ids`` are only on
+        side ``a``, ``b_ids`` only on side ``b``.  Each side gives its
+        count and its first SHOWN_IDS ids in sorted order, so the
+        message stays one short line however many ids differ."""
+
+        def side(name: str, ids) -> str:
+            ids = sorted(ids)
+            shown = ", ".join(map(repr, ids[: cls.SHOWN_IDS]))
+            more = ", ..." if len(ids) > cls.SHOWN_IDS else ""
+            return f"{name} ({len(ids)}): [{shown}{more}]"
+
+        return cls(f"doc sets differ ({side(a, a_ids)}; {side(b, b_ids)})")

@@ -82,23 +82,22 @@ def _min_count_match(gold_keys, pred_keys, counts=None) -> dict[str, TypeCounts]
     return counts
 
 
-def _match_keys(report) -> tuple:
+def _match_keys(report: ReportGraph) -> tuple:
     """What strict matching reads of a report, as one plain tuple: doc
-    id, source, tokens, the entity keys ``(label, start, end)`` in entity
+    id, source, text, the entity keys ``(label, start, end)`` in entity
     order, and the relation keys ``(kind, source key, target key)``.
 
-    A report is a ReportGraph or its match keys, which pass through;
-    this is the one place that tells the two apart.
+    Matching takes a report as a ReportGraph or as its match keys, a
+    tuple, which is read as it is.  Two reports hold the same tokens
+    when their texts are equal or split on whitespace alike.
     """
-    if not isinstance(report, ReportGraph):
-        return report
     entity_keys = {
         eid: (e.label, e.start_ix, e.end_ix) for eid, e in report.entities.items()
     }
     return (
         report.doc_id,
         report.source,
-        report.tokens,
+        report.text,
         tuple(entity_keys.values()),
         # A list builds faster than a generator feeds tuple().
         tuple(
@@ -120,7 +119,8 @@ def _keys(doc_id: str, record, head: tuple) -> tuple:
 def read_match_keys(path: str, splits) -> list[tuple]:
     """``_match_keys`` of each report of ``corpus.load_dataset(path,
     splits)``, or its error, selected by the same loop but without
-    building report graphs."""
+    building report graphs.  Each holds its record's text as decoded;
+    the tokens are split from it only to check the entities."""
     return _selected(path, splits, _keys)
 
 
@@ -318,25 +318,34 @@ def evaluate_report(gold, pred, *, into: ReportCounts | None = None) -> ReportCo
     """Strict matching counts of one report.  ``gold`` and ``pred`` are
     each a ReportGraph or its match keys.  The counts are added to
     ``into`` when given, and to a new ReportCounts otherwise, which is
-    returned."""
-    doc_id, source, tokens, gold_entities, gold_relations = _match_keys(gold)
-    pred_id, _, pred_tokens, pred_entities, pred_relations = _match_keys(pred)
+    returned.  DocMismatch if the doc ids differ, or the tokens (the
+    texts, unless they split on whitespace alike)."""
+    # Match keys, as evaluate_intersection passes them, are read as they are.
+    doc_id, source, text, gold_entities, gold_relations = (
+        gold if type(gold) is tuple else _match_keys(gold)
+    )
+    pred_id, _, pred_text, pred_entities, pred_relations = (
+        pred if type(pred) is tuple else _match_keys(pred)
+    )
     if doc_id != pred_id:
         raise DocMismatch(f"doc ids differ: {doc_id!r} vs {pred_id!r}")
-    if tokens != pred_tokens:
+    if text != pred_text and text.split() != pred_text.split():
         raise DocMismatch(f"{doc_id}: token sequences differ")
     if into is None:
         into = ReportCounts(doc_id, source, {}, {})
     _min_count_match(gold_entities, pred_entities, into.entities)
-    _min_count_match(gold_relations, pred_relations, into.relations)
+    if gold_relations or pred_relations:
+        _min_count_match(gold_relations, pred_relations, into.relations)
     return into
 
 
 def _keyed(reports) -> dict[str, tuple]:
     """Doc id -> match keys of a Dataset or a sequence of reports."""
-    return {
-        keys[0]: keys for keys in map(_match_keys, getattr(reports, "reports", reports))
-    }
+    keyed = {}
+    for report in getattr(reports, "reports", reports):
+        keys = report if type(report) is tuple else _match_keys(report)
+        keyed[keys[0]] = keys
+    return keyed
 
 
 def evaluate_intersection(
@@ -354,17 +363,17 @@ def evaluate_intersection(
     gold_by = _keyed(gold_ds)
     pred_by = _keyed(pred_ds)
     if gold_by.keys() != pred_by.keys():
-        only_g = sorted(set(gold_by) - set(pred_by))
-        only_p = sorted(set(pred_by) - set(gold_by))
-        raise DocMismatch(
-            f"doc sets differ (gold only: {only_g}, predictions only: {only_p})"
+        raise DocMismatch.doc_sets(
+            "gold only", gold_by.keys() - pred_by.keys(),
+            "predictions only", pred_by.keys() - gold_by.keys(),
         )
     # Every report's counts go straight into the ungrouped tables of its
     # source; aggregate groups the rows of each source once.
     by_source: dict[str, ReportCounts] = {}
+    prune = mode == "radgraph1-common"
     for doc_id in sorted(gold_by):
         gold, pred = gold_by[doc_id], pred_by[doc_id]
-        if mode == "radgraph1-common":
+        if prune:
             gold, pred = _prune_keys(gold), _prune_keys(pred)
         into = by_source.get(gold[1])
         if into is None:

@@ -357,17 +357,19 @@ def _record_keys(doc_id: str, head: tuple) -> tuple | None:
     the one loop that reads a file's records by split: it gives ``eval``'s
     key reader its keys, it checks, without building a graph, each
     record outside the selected splits, and the CLI's ``predict`` runs it
-    on each selected record, whose tokens it takes from the keys.
+    on each selected record.
 
     The caller reads the head once, as the loader reads it before any
     entity.  Accepted means that every test the loader applies to the
     entities passes too: ``parse_report``'s shape checks (labels mapped
     as it maps them) and the STRUCTURAL_RULES of ``validate_graph``.
     The keys are those ``evaluation._match_keys`` gives of the parsed
-    report.
+    report: doc id, source, the record's text (its whitespace split is
+    the report's tokens), entity keys and relation keys.  The checks read
+    a plain ``text.split()``; nothing is interned or kept of it.
     """
     text, _, source, entities = head
-    tokens = tuple(map(sys.intern, text.split()))
+    tokens = text.split()
     n = len(tokens)
     entity_keys: dict[str, tuple] = {}
     related = []  # (source id, relation list) of each entity with relations
@@ -384,7 +386,8 @@ def _record_keys(doc_id: str, head: tuple) -> tuple | None:
             and type(end) is int
             and 0 <= start <= end < n  # span_bounds
             # token_text; a missing or non-string text differs from any span
-            and ent.get("tokens") == " ".join(tokens[start : end + 1])
+            and ent.get("tokens")
+            == (tokens[start] if start == end else " ".join(tokens[start : end + 1]))
             and type(rels) is list
         ):
             return None
@@ -411,7 +414,7 @@ def _record_keys(doc_id: str, head: tuple) -> tuple | None:
     return (
         doc_id,
         source,
-        tokens,
+        text,
         tuple(entity_keys.values()),
         tuple(relation_keys),
     )

@@ -38,7 +38,7 @@ from hiergraph import (
     schema,
 )
 from hiergraph.cli import build_parser, main
-from hiergraph.errors import FileUnreadable, HierGraphError
+from hiergraph.errors import FileUnreadable, HierGraphError, MalformedRecord
 from hiergraph.evaluation import EVAL_MODES
 from hiergraph.relations import FEATURE_DIM, OUTPUT_KINDS, RelationScorerParams
 from hiergraph.schema import GROUPS
@@ -745,6 +745,34 @@ class TestEvalChildProcess:
             "other-tokens": "mimic-1: token sequences differ",
         }[wins] in err
 
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("opacity  suggestive of pneumonia .", 0),
+            ("opacity\tsuggestive of pneumonia .", 0),
+            ("opacity suggestive of pneumonia .\n", 0),
+            ("opacity suggestive of pneumonia !", 2),
+            ("opacity suggestive of pneumonia . more", 2),
+            ("opacity suggestive of pneumonia", 2),
+        ],
+        ids=["double-space", "tab", "newline", "changed", "added", "dropped"],
+    )
+    def test_token_check(self, text, code, small_path, tmp_path, forks, capsys):
+        """Texts that split on whitespace alike hold the same tokens; a
+        changed, added or dropped token is a mismatch."""
+        doc = json.loads(Path(small_path).read_text())
+        assert doc["chex-2"]["text"] == "opacity suggestive of pneumonia ."
+        doc["chex-2"]["text"] = text
+        pred = tmp_path / "pred.json"
+        pred.write_text(json.dumps(doc))
+        assert main(["eval", small_path, str(pred), "--json"]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err == "invalid: chex-2: token sequences differ\n"
+        else:
+            assert json.loads(out)["entity_f1_micro"] == 1.0 and err == ""
+        assert len(forks) == 1
+
     def test_empty_gold_selection(self, tmp_path, forks, capsys):
         test_only = tmp_path / "test.json"
         save_dataset(make_separable_corpus(n_reports=4, seed=1, split="test"), str(test_only))
@@ -788,6 +816,52 @@ class TestEvalChildProcess:
         assert main(["eval", small_path, small_path, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entity_f1_micro"] == 1.0
         assert forks == []
+
+
+class TestForkedTransfer:
+    """What ``cli._forked``'s child sends back arrives as the call in
+    this process gives it: plain results through marshal, exceptions and
+    other values through pickle."""
+
+    @staticmethod
+    def forked(forks, func, *args):
+        with cli._forked("the call", func, *args) as result:
+            value = result()
+        assert len(forks) == 1
+        assert_reaped(forks)
+        return value
+
+    @pytest.mark.parametrize("splits", [schema.SPLITS, ("test",)], ids=["all", "test"])
+    def test_match_keys(self, splits, small_path, forks):
+        read = evaluation.read_match_keys
+        assert self.forked(forks, read, small_path, splits) == read(small_path, splits)
+
+    @pytest.mark.parametrize("data", ["small", "corpus"])
+    def test_predict_inputs_arrive_interned(self, data, small_path, work, forks):
+        path = small_path if data == "small" else str(work["data"])
+        args = (path, schema.SPLITS, cli._predict_input)
+        inputs = self.forked(forks, corpus._selected, *args)
+        assert inputs == corpus._selected(*args)
+        tokens = [token for _, _, report_tokens, _, _ in inputs for token in report_tokens]
+        assert tokens and all(sys.intern(token) is token for token in tokens)
+
+    def test_text_outside_ascii(self, forks):
+        """Non-ASCII text and a lone surrogate, which a JSON string can
+        hold, arrive unchanged."""
+        value = [("d\u00e9", "s", "caf\u00e9 \ud800 \U0001f600", (("OBS-DA", 0, 0),), ())]
+        assert self.forked(forks, lambda: value) == value
+
+    def test_child_exception_reraised(self, forks):
+        def refuse():
+            raise MalformedRecord("d", "record is not an object")
+
+        with pytest.raises(MalformedRecord, match="^d: record is not an object$"):
+            self.forked(forks, refuse)
+        assert_reaped(forks)
+
+    def test_unmarshallable_result_arrives(self, small_ds, forks):
+        graphs = list(small_ds.reports)
+        assert self.forked(forks, lambda: graphs) == graphs
 
 
 class TestPredictChildProcess:

@@ -609,6 +609,25 @@ class TestKappa:
         with pytest.raises(DocMismatch, match="chex-2"):
             dataset_kappa(small_ds, other)
 
+    def test_kappa_doc_mismatch_message_is_bounded(self, tmp_path, capsys):
+        """Two files of 3 000 reports with disjoint ids: one short line
+        naming each side's count and first ids."""
+        paths = []
+        for side in "ab":
+            ds = Dataset([
+                ReportGraph(f"{side}-{i:04d}", "w", ("w",), "test", "synthetic", {}, ())
+                for i in range(3000)
+            ])
+            paths.append(str(tmp_path / f"{side}.json"))
+            save_dataset(ds, paths[-1])
+        with pytest.raises(DocMismatch) as exc:
+            dataset_kappa(*map(load_dataset, paths))
+        assert len(str(exc.value)) < 300
+        assert "only in A (3000): ['a-0000', " in str(exc.value)
+        assert main(["kappa", *paths]) == 2
+        err = capsys.readouterr().err
+        assert err == f"invalid: {exc.value}\n"
+
     def test_accepts_token_labelings(self, small_ds):
         lab = to_token_labeling(small_ds.by_id()["mimic-2"])
         assert cohens_kappa(lab, lab) == 1.0

@@ -13,6 +13,7 @@ from hiergraph import (
     HierGraphError,
     MalformedRecord,
     TypeCounts,
+    ValidationError,
     aggregate,
     evaluate_intersection,
     match_entities,
@@ -29,7 +30,7 @@ from hiergraph.evaluation import (
 )
 from hiergraph import cli
 from hiergraph.corpus import Dataset
-from hiergraph.schema import SOURCES, SPLITS, prune_to_radgraph1
+from hiergraph.schema import SOURCES, SPLITS, _record_head, _record_keys, prune_to_radgraph1
 from hiergraph.synth import make_random_corpus, perturb_predictions
 
 from mutations import records
@@ -542,3 +543,92 @@ class TestReadMatchKeys:
         with pytest.raises(MalformedRecord) as read:
             read_match_keys(str(path), SPLITS)
         assert str(read.value) == str(loaded.value)
+
+
+def text_report(text, form, doc_id="d"):
+    """A report of ``text`` with one entity on its first token, as a
+    graph or as the match keys the key reader gives."""
+    record = {
+        "text": text,
+        "entities": {"1": {"tokens": text.split()[0], "label": "OBS-DA", "start_ix": 0,
+                           "end_ix": 0, "relations": []}},
+    }
+    if form == "graph":
+        return parse_report(doc_id, record)
+    return _record_keys(doc_id, _record_head(doc_id, record))
+
+
+# (gold form, prediction form) of every pairing strict matching takes.
+FORMS = [("keys", "keys"), ("graph", "keys"), ("keys", "graph"), ("graph", "graph")]
+
+
+class TestTokenCheck:
+    """Match keys hold a report's text; two reports hold the same tokens
+    when their texts split on whitespace alike."""
+
+    TEXT = "no new effusion"
+    # Other spacing of the same tokens.
+    SAME_TOKENS = ["no  new effusion", "no\tnew effusion", "no new effusion\n",
+                   " no new \t\neffusion  "]
+    # A changed, an added and a dropped token, and one changed in case.
+    OTHER_TOKENS = ["no new effusions", "no new effusion seen", "no new", "no New effusion"]
+
+    @pytest.mark.parametrize("forms", FORMS, ids="-".join)
+    @pytest.mark.parametrize("text", SAME_TOKENS)
+    def test_spacing_is_no_mismatch(self, forms, text):
+        gold, pred = text_report(self.TEXT, forms[0]), text_report(text, forms[1])
+        assert flat(evaluate_report(gold, pred).entities) == {"OBS-DA": (1, 1, 1)}
+        assert flat(evaluate_report(pred, gold).entities) == {"OBS-DA": (1, 1, 1)}
+
+    @pytest.mark.parametrize("forms", FORMS, ids="-".join)
+    @pytest.mark.parametrize("text", OTHER_TOKENS)
+    def test_other_tokens_are_a_mismatch(self, forms, text):
+        gold, pred = text_report(self.TEXT, forms[0]), text_report(text, forms[1])
+        for a, b in [(gold, pred), (pred, gold)]:
+            with pytest.raises(DocMismatch, match="^d: token sequences differ$"):
+                evaluate_report(a, b)
+
+    def test_keys_hold_the_text(self):
+        text = " no  new effusion\n"
+        keys = text_report(text, "keys")
+        assert keys[2] is text
+        assert keys == _match_keys(text_report(text, "graph"))
+
+    @pytest.mark.parametrize("entity_text", ["effusion ", " effusion", "Effusion", "EFFUSION"])
+    def test_one_token_text_must_match_exactly(self, entity_text, tmp_path):
+        """A one-token entity is compared with its token as it stands: a
+        space or another case is refused, with the loader's error."""
+        record = _record(a={"tokens": entity_text})
+        assert _record_keys("r1", _record_head("r1", record)) is None
+        path = tmp_path / "data.json"
+        path.write_text(json.dumps({"r1": record}))
+        with pytest.raises(ValidationError) as read:
+            read_match_keys(str(path), SPLITS)
+        assert read.value.rule == "token_text"
+        assert repr(entity_text) in str(read.value)
+
+
+class TestDocSetMessage:
+    """A DocMismatch over doc sets gives each side's count and first
+    few ids, however many differ."""
+
+    @staticmethod
+    def keys(doc_ids):
+        return [(doc_id, "synthetic", "w", (), ()) for doc_id in doc_ids]
+
+    def test_thousands_of_ids(self):
+        gold = self.keys(f"g-{i:05d}" for i in range(4000))
+        pred = self.keys(f"p-{i:05d}" for i in range(3000, -1, -1))
+        with pytest.raises(DocMismatch) as exc:
+            evaluate_intersection(gold, pred)
+        message = str(exc.value)
+        assert len(message) < 300
+        assert "gold only (4000): ['g-00000', " in message
+        assert "predictions only (3001): ['p-00000', " in message
+
+    def test_few_ids_are_all_named(self):
+        with pytest.raises(DocMismatch) as exc:
+            evaluate_intersection(self.keys(["a", "b"]), self.keys(["b", "c"]))
+        assert str(exc.value) == (
+            "doc sets differ (gold only (1): ['a']; predictions only (1): ['c'])"
+        )

@@ -42,8 +42,8 @@ ran = sorted(
 
 # Runs the CLI on argv and prints, as JSON: its exit code, the numpy
 # submodules then in sys.modules, the environment variables it changed,
-# the process's OS thread count (None without /proc) and the package
-# modules that ran.
+# the process's OS thread count (None without /proc), the package
+# modules that ran and whether pickle was imported.
 RUN_CLI = """
 import json, os, sys
 before = dict(os.environ)
@@ -62,7 +62,7 @@ task = "/proc/self/task"
 threads = len(os.listdir(task)) if os.path.isdir(task) else None
 """ + RAN + """
 print(json.dumps({"code": code, "numpy": loaded, "environ": changed, "threads": threads,
-                  "ran": ran}), file=sys.stderr)
+                  "ran": ran, "pickle": "pickle" in sys.modules}), file=sys.stderr)
 """
 
 
@@ -108,12 +108,15 @@ def model(tmp_path_factory):
 )
 def test_annotation_commands_leave_numpy_unloaded(argv, tmp_path):
     """These commands load no numpy, and run only the CLI's modules,
-    ``corpus`` and ``schema``, and ``evaluation`` for ``eval``."""
+    ``corpus`` and ``schema``, and ``evaluation`` for ``eval``.  None
+    imports pickle: ``eval``'s child sends its match keys back through
+    marshal."""
     text = tmp_path / "report.txt"
     text.write_text("No acute cardiopulmonary process.\n")
     argv = [a.format(text=text, out=tmp_path / "out.json") for a in argv]
     result = run_cli(*argv)
     assert (result["code"], result["numpy"], result["environ"]) == (0, [], {})
+    assert result["pickle"] is False
     uses = {"--version": (), "eval": ("corpus", "evaluation", "schema")}.get(
         argv[0], ("corpus", "schema")
     )
