@@ -225,15 +225,11 @@ def _train(args, splits, cfg: TrainConfig) -> int:
 
 def _predict_input(doc_id: str, record, head: tuple) -> tuple:
     """The doc id, text, tokens, split and source of a record ``predict``
-    selected; its gold entities and relations are only checked.  A record
-    the key reader's acceptance test (``schema._record_keys``) takes gives
-    them from its head, with its tokens, the text's whitespace split,
-    interned here as the loader interns them; any other is loaded, so
-    that a record the loader refuses raises the loader's error, and one
-    it takes after all gives them from its graph."""
-    if schema._record_keys(doc_id, head) is None:
-        graph = corpus._loaded(doc_id, record)
-        return doc_id, graph.text, graph.tokens, graph.split, graph.source
+    selected, from its head: the tokens are the text's whitespace split,
+    interned here as the loader interns them.  Its gold entities and
+    relations are only checked (``corpus._accepted``), so that a record
+    the loader refuses raises the loader's error."""
+    corpus._accepted(doc_id, record, head)
     text, split, source, _ = head
     return doc_id, text, tuple(map(sys.intern, text.split())), split, source
 
@@ -388,18 +384,6 @@ def _cmd_eval(args) -> int:
     with _forked(f"loading {args.pred}", read, args.pred, splits) as prediction_keys:
         gold = read(args.gold, splits)
         pred = prediction_keys()
-    common = {keys[0] for keys in gold}.intersection(keys[0] for keys in pred)
-    if not common:
-        print("invalid: no common doc ids to evaluate", file=sys.stderr)
-        return EXIT_INVALID
-    # Doc ids are unique within a file, so a side is filtered only when
-    # it holds reports outside the intersection.
-    if len(gold) > len(common):
-        gold = [keys for keys in gold if keys[0] in common]
-    if len(pred) > len(common):
-        pred = [keys for keys in pred if keys[0] in common]
-    # Scoring sets the process's peak memory; the id set is not needed there.
-    del common
     scores = evaluation.evaluate_intersection(
         gold, pred, mode=args.mode, grouped=args.grouped
     )

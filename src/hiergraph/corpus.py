@@ -124,9 +124,19 @@ def read_json(path: str):
     """The JSON document in a UTF-8 file."""
     try:
         return json.loads(read_text(path))
-    # The decoder raises RecursionError on arrays or objects nested too deep.
-    except (json.JSONDecodeError, RecursionError) as exc:
+    # Besides JSONDecodeError: ValueError on an integer too long for int(),
+    # RecursionError on arrays or objects nested too deep.
+    except (ValueError, RecursionError) as exc:
         raise MalformedRecord("<root>", f"invalid JSON in {path}: {exc}") from exc
+
+
+def _accepted(doc_id: str, record, head: tuple) -> tuple:
+    """The match keys of a record with head ``head``
+    (``schema._record_keys``), or the error the loader raises on it."""
+    keys = _record_keys(doc_id, head)
+    if keys is None:
+        _loaded(doc_id, record)  # refuses the same records, and says why
+    return keys
 
 
 def _selected(path: str, splits, build) -> list:
@@ -137,10 +147,9 @@ def _selected(path: str, splits, build) -> list:
     for ``load_dataset`` (graphs), ``evaluation.read_match_keys`` (match
     keys) and the CLI's ``predict`` (the fields it predicts from).
 
-    Every record is checked, so a file fails as it would unselected.  A
-    record outside ``splits`` builds nothing: it passes the key reader's
-    acceptance test (``schema._record_keys``), or else is loaded and
-    dropped, so that a record the loader refuses raises its own error.
+    Every record is checked, so a file fails as it would unselected: a
+    record outside ``splits`` builds nothing, but passes ``_accepted``
+    or raises the loader's error.
     """
     chosen, held = [], set()
     for doc_id, record in report_records(read_json(path)):
@@ -148,8 +157,8 @@ def _selected(path: str, splits, build) -> list:
         held.add(head[1])
         if head[1] in splits:
             chosen.append(build(doc_id, record, head))
-        elif _record_keys(doc_id, head) is None:
-            _loaded(doc_id, record)
+        else:
+            _accepted(doc_id, record, head)
     if not chosen:
         raise EmptyDataset(
             f"{path} holds no reports in {', '.join(splits)}"
@@ -411,9 +420,7 @@ def dataset_kappa(ds_a: Dataset, ds_b: Dataset) -> float:
     """Token-level kappa between two annotation sets of the same reports."""
     by_a, by_b = ds_a.by_id(), ds_b.by_id()
     if by_a.keys() != by_b.keys():
-        raise DocMismatch.doc_sets(
-            "only in A", by_a.keys() - by_b.keys(), "only in B", by_b.keys() - by_a.keys()
-        )
+        raise DocMismatch.doc_sets(by_a.keys() - by_b.keys(), by_b.keys() - by_a.keys())
     labels_a: list[str] = []
     labels_b: list[str] = []
     for doc_id in sorted(by_a):

@@ -139,11 +139,11 @@ class DocMismatch(HierGraphError):
     SHOWN_IDS = 5
 
     @classmethod
-    def doc_sets(cls, a: str, a_ids, b: str, b_ids) -> "DocMismatch":
-        """The error for two doc sets that differ: ``a_ids`` are only on
-        side ``a``, ``b_ids`` only on side ``b``.  Each side gives its
-        count and its first SHOWN_IDS ids in sorted order, so the
-        message stays one short line however many ids differ."""
+    def doc_sets(cls, a_ids, b_ids) -> "DocMismatch":
+        """The error for two doc sets A and B that differ: ``a_ids`` are
+        only in A, ``b_ids`` only in B.  Each side gives its count and
+        its first SHOWN_IDS ids in sorted order, so the message stays
+        one short line however many ids differ."""
 
         def side(name: str, ids) -> str:
             ids = sorted(ids)
@@ -151,4 +151,4 @@ class DocMismatch(HierGraphError):
             more = ", ..." if len(ids) > cls.SHOWN_IDS else ""
             return f"{name} ({len(ids)}): [{shown}{more}]"
 
-        return cls(f"doc sets differ ({side(a, a_ids)}; {side(b, b_ids)})")
+        return cls(f"doc sets differ ({side('only in A', a_ids)}; {side('only in B', b_ids)})")

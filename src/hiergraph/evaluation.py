@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import _aligned, _loaded, _selected
+from .corpus import _accepted, _aligned, _selected
 from .errors import DocMismatch
-from .schema import ReportGraph, _record_keys, label_group
+from .schema import ReportGraph, label_group
 from .settings import EVAL_MODES
 
 
@@ -109,19 +109,13 @@ def _match_keys(report: ReportGraph) -> tuple:
     )
 
 
-def _keys(doc_id: str, record, head: tuple) -> tuple:
-    """The match keys of one record with head ``head``: ``_record_keys``',
-    or, if it refuses the record, the loader's graph's, or its error."""
-    keys = _record_keys(doc_id, head)
-    return _match_keys(_loaded(doc_id, record)) if keys is None else keys
-
-
 def read_match_keys(path: str, splits) -> list[tuple]:
     """``_match_keys`` of each report of ``corpus.load_dataset(path,
     splits)``, or its error, selected by the same loop but without
-    building report graphs.  Each holds its record's text as decoded;
-    the tokens are split from it only to check the entities."""
-    return _selected(path, splits, _keys)
+    building report graphs (``corpus._accepted``).  Each holds its
+    record's text as decoded; the tokens are split from it only to check
+    the entities."""
+    return _selected(path, splits, _accepted)
 
 
 def _prune_keys(keys: tuple) -> tuple:
@@ -351,32 +345,32 @@ def _keyed(reports) -> dict[str, tuple]:
 def evaluate_intersection(
     gold_ds, pred_ds, mode: str = "radgraph2", grouped: bool = False
 ) -> EvalScores:
-    """Corpus-level evaluation over aligned doc ids.
+    """Corpus-level evaluation over the doc ids both sides hold, in gold
+    order; DocMismatch if there is none.
 
     Each side is a Dataset or a sequence of reports, and each report a
-    ReportGraph or its match keys.  radgraph1-common mode prunes change
-    entities from both sides first, scoring only the schema
+    ReportGraph or its match keys; a doc id repeated on one side is
+    scored once, with its last report.  radgraph1-common mode prunes
+    change entities from both sides first, scoring only the schema
     intersection; radgraph2 scores everything.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"mode must be one of {EVAL_MODES}, got {mode!r}")
-    gold_by = _keyed(gold_ds)
     pred_by = _keyed(pred_ds)
-    if gold_by.keys() != pred_by.keys():
-        raise DocMismatch.doc_sets(
-            "gold only", gold_by.keys() - pred_by.keys(),
-            "predictions only", pred_by.keys() - gold_by.keys(),
-        )
     # Every report's counts go straight into the ungrouped tables of its
     # source; aggregate groups the rows of each source once.
     by_source: dict[str, ReportCounts] = {}
     prune = mode == "radgraph1-common"
-    for doc_id in sorted(gold_by):
-        gold, pred = gold_by[doc_id], pred_by[doc_id]
+    for doc_id, gold in _keyed(gold_ds).items():
+        pred = pred_by.get(doc_id)
+        if pred is None:
+            continue
         if prune:
             gold, pred = _prune_keys(gold), _prune_keys(pred)
         into = by_source.get(gold[1])
         if into is None:
             into = by_source[gold[1]] = ReportCounts(None, gold[1], {}, {})
         evaluate_report(gold, pred, into=into)
+    if not by_source:
+        raise DocMismatch("no common doc ids to evaluate")
     return aggregate(by_source.values(), grouped=grouped)

@@ -41,7 +41,7 @@ class LoadedModel:
 def _array(obj, name: str) -> np.ndarray:
     try:
         arr = np.array(obj, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge integer
         raise ModelFormatError(f"field {name!r} is not numeric") from exc
     if not np.all(np.isfinite(arr)):
         raise ModelFormatError(f"field {name!r} holds non-finite values")
@@ -101,7 +101,10 @@ def _train_config(obj) -> TrainConfig:
         )
     for name, value in obj.items():
         if known[name] is float:
-            ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+            try:
+                ok = (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+            except OverflowError:  # an integer beyond the float range
+                ok = False
         else:
             ok = _is_int(value)
         if not ok:

@@ -352,21 +352,21 @@ def parse_report(doc_id: str, record: dict) -> ReportGraph:
 
 def _record_keys(doc_id: str, head: tuple) -> tuple | None:
     """The match keys of a decoded wire-format record that the loader
-    accepts as it stands, given the record's ``_record_head``; None for
-    any other record.  This is the acceptance test of ``corpus._selected``,
-    the one loop that reads a file's records by split: it gives ``eval``'s
-    key reader its keys, it checks, without building a graph, each
-    record outside the selected splits, and the CLI's ``predict`` runs it
-    on each selected record.
+    (``corpus._loaded``) accepts, given the record's ``_record_head``;
+    None for exactly the records it refuses.  Through
+    ``corpus._accepted`` it is the acceptance test, without building a
+    graph, of every record ``eval`` and ``predict`` read, and of each
+    record outside the selected splits.
 
     The caller reads the head once, as the loader reads it before any
     entity.  Accepted means that every test the loader applies to the
     entities passes too: ``parse_report``'s shape checks (labels mapped
-    as it maps them) and the STRUCTURAL_RULES of ``validate_graph``.
-    The keys are those ``evaluation._match_keys`` gives of the parsed
-    report: doc id, source, the record's text (its whitespace split is
-    the report's tokens), entity keys and relation keys.  The checks read
-    a plain ``text.split()``; nothing is interned or kept of it.
+    as it maps them, a relation's kind and target read as their ``str``)
+    and the STRUCTURAL_RULES of ``validate_graph``.  The keys are those
+    ``evaluation._match_keys`` gives of the loaded report: doc id,
+    source, the record's text (its whitespace split is the report's
+    tokens), entity keys and relation keys.  The checks read a plain
+    ``text.split()``; nothing is interned or kept of it.
     """
     text, _, source, entities = head
     tokens = text.split()
@@ -401,11 +401,9 @@ def _record_keys(doc_id: str, head: tuple) -> tuple | None:
         for item in rels:
             if type(item) is not list or len(item) != 2:
                 return None
-            kind, target = item
+            kind, target = str(item[0]), str(item[1])
             if not (
-                type(kind) is str
-                and kind in _KIND_OBJECT  # unknown_relation_kind
-                and type(target) is str
+                kind in _KIND_OBJECT  # unknown_relation_kind
                 and target in entity_keys  # dangling_relation
                 and target != eid  # self_relation
             ):

@@ -7,8 +7,8 @@ annotation files go wrong: missing keys, values of the wrong JSON type,
 booleans as span indices, spans outside the text or moved onto another
 entity, unknown labels and kinds, dangling, self and repeated
 relations, repeated entities, change entities with and without modify
-relations.  Mutations reach into entities only while the record still
-has the shape to hold them.
+relations, relation targets written as JSON scalars.  Mutations reach
+into entities only while the record still has the shape to hold them.
 """
 
 from __future__ import annotations
@@ -169,6 +169,22 @@ def move_entity(draw, record):
         ent["label"] = draw(st.sampled_from([l for l in ENTITY_LABELS if l != ent.get("label")]))
 
 
+def scalar_target(draw, record):
+    """An entity renamed to ``str(v)`` of a JSON scalar ``v``, and a
+    relation from another entity to ``v`` itself, which names it: the
+    loader reads a relation target as its ``str``."""
+    entities = _entities(record)
+    ids = sorted(eid for eid, ent in (entities or {}).items() if isinstance(ent, dict))
+    if len(ids) < 2:
+        return
+    eid = draw(st.sampled_from(ids))
+    value = draw(st.sampled_from((7, -1, 2.5, True, False, None)))
+    entities[str(value)] = entities.pop(eid)
+    rels = entities[draw(st.sampled_from([i for i in ids if i != eid]))].setdefault("relations", [])
+    if isinstance(rels, list):
+        rels.append([draw(st.sampled_from(RELATION_KINDS)), value])
+
+
 def junk_entity(draw, record):
     entities = _entities(record)
     if entities is not None:
@@ -191,6 +207,7 @@ MUTATIONS = (
     bad_relation_entry,
     repeat_entity,
     move_entity,
+    scalar_target,
     junk_entity,
 )
 

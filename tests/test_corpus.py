@@ -326,15 +326,17 @@ class TestSelectedLoad:
         assert err[0] is ValidationError and first in err[1] and "unknown_label" in err[1]
 
     def test_record_only_the_loader_accepts(self):
-        """A relation target written as a number fails the key reader's
-        test but loads, so a report holding one outside the selection
-        does not stop the load."""
+        """A relation target written as a number names the entity whose
+        id is its ``str``, for the key reader's test as for the loader,
+        so a report holding one outside the selection does not stop the
+        load."""
         numeric = {"text": "no new effusion", "split": "test", "entities": {
             "7": {"tokens": "effusion", "label": "OBS-DA", "start_ix": 2, "end_ix": 2},
             "b": {"tokens": "new", "label": "CHAN-NC", "start_ix": 1, "end_ix": 1,
                   "relations": [["modify", 7]]},
         }}
-        assert schema._record_keys("n", schema._record_head("n", numeric)) is None
+        assert schema._record_keys("n", schema._record_head("n", numeric)) == (
+            evaluation._match_keys(corpus._loaded("n", numeric)))
         doc = {"t": {"text": "clear", "split": "train"}, "n": numeric}
         assert [r[0] for r in self.assert_loads_as_selected(doc, "train")] == ["t"]
 
@@ -631,3 +633,29 @@ class TestKappa:
     def test_accepts_token_labelings(self, small_ds):
         lab = to_token_labeling(small_ds.by_id()["mimic-2"])
         assert cohens_kappa(lab, lab) == 1.0
+
+
+class TestDocSetMessage:
+    """A DocMismatch over doc sets, as ``dataset_kappa`` raises it, gives
+    each side's count and first few ids, however many differ."""
+
+    @staticmethod
+    def dataset(doc_ids):
+        return Dataset([
+            ReportGraph(doc_id, "w", ("w",), "test", "synthetic", {}, ()) for doc_id in doc_ids
+        ])
+
+    def test_thousands_of_ids(self):
+        a = self.dataset(f"a-{i:05d}" for i in range(4000))
+        b = self.dataset(f"b-{i:05d}" for i in range(3000, -1, -1))
+        with pytest.raises(DocMismatch) as exc:
+            dataset_kappa(a, b)
+        message = str(exc.value)
+        assert len(message) < 300
+        assert "only in A (4000): ['a-00000', " in message
+        assert "only in B (3001): ['b-00000', " in message
+
+    def test_few_ids_are_all_named(self):
+        with pytest.raises(DocMismatch) as exc:
+            dataset_kappa(self.dataset(["a", "b"]), self.dataset(["b", "c"]))
+        assert str(exc.value) == "doc sets differ (only in A (1): ['a']; only in B (1): ['c'])"

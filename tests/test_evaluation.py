@@ -406,11 +406,23 @@ class TestIntersection:
             evaluate_intersection(small_ds, small_ds, mode="radgraph3")
 
     def test_doc_mismatch(self, small_ds):
-        from hiergraph import Dataset
-
-        subset = Dataset([r for r in small_ds.reports if r.doc_id != "chex-1"])
-        with pytest.raises(DocMismatch, match="chex-1"):
-            evaluate_intersection(small_ds, subset)
+        """Each side may hold reports the other does not: only the shared
+        doc ids are scored, exactly as both sides cut to them are, and
+        no shared doc id is an error."""
+        ids = [r.doc_id for r in small_ds.reports]
+        gold = [r for r in small_ds.reports if r.doc_id != ids[0]]
+        # Predictions miss gold's first report and hold one gold lacks.
+        pred = perturb_predictions(small_ds, seed=3).reports
+        pred = [r for r in pred if r.doc_id != ids[1]]
+        shared = set(ids[2:])
+        cut = lambda side: [r for r in side if r.doc_id in shared]
+        for mode in EVAL_MODES:
+            for grouped in (False, True):
+                got = evaluate_intersection(gold, pred, mode=mode, grouped=grouped)
+                want = evaluate_intersection(cut(gold), cut(pred), mode=mode, grouped=grouped)
+                assert got.to_json() == want.to_json()
+        with pytest.raises(DocMismatch, match="^no common doc ids to evaluate$"):
+            evaluate_intersection(gold[:1], pred[1:2])
 
     def test_radgraph1_common_drops_change_rows(self, small_ds):
         scores = evaluate_intersection(small_ds, small_ds, mode="radgraph1-common")
@@ -477,9 +489,8 @@ HEAD_RECORDS = {
 }
 
 # Those; one record per structural rule; one with the alias spellings of
-# label, split and source and their keys; and one the loader takes
-# although the reader's own test does not: a relation target that is a
-# number but names an entity.
+# label, split and source and their keys; and one whose relation target
+# is a number that names an entity by its ``str``.
 RULE_RECORDS = {
     **HEAD_RECORDS,
     "clean": _record(),
@@ -606,29 +617,3 @@ class TestTokenCheck:
             read_match_keys(str(path), SPLITS)
         assert read.value.rule == "token_text"
         assert repr(entity_text) in str(read.value)
-
-
-class TestDocSetMessage:
-    """A DocMismatch over doc sets gives each side's count and first
-    few ids, however many differ."""
-
-    @staticmethod
-    def keys(doc_ids):
-        return [(doc_id, "synthetic", "w", (), ()) for doc_id in doc_ids]
-
-    def test_thousands_of_ids(self):
-        gold = self.keys(f"g-{i:05d}" for i in range(4000))
-        pred = self.keys(f"p-{i:05d}" for i in range(3000, -1, -1))
-        with pytest.raises(DocMismatch) as exc:
-            evaluate_intersection(gold, pred)
-        message = str(exc.value)
-        assert len(message) < 300
-        assert "gold only (4000): ['g-00000', " in message
-        assert "predictions only (3001): ['p-00000', " in message
-
-    def test_few_ids_are_all_named(self):
-        with pytest.raises(DocMismatch) as exc:
-            evaluate_intersection(self.keys(["a", "b"]), self.keys(["b", "c"]))
-        assert str(exc.value) == (
-            "doc sets differ (gold only (1): ['a']; predictions only (1): ['c'])"
-        )

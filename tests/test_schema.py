@@ -14,6 +14,7 @@ from hiergraph import (
     ENTITY_LABELS,
     RELATION_KINDS,
     Entity,
+    HierGraphError,
     MalformedRecord,
     Relation,
     ReportGraph,
@@ -26,12 +27,14 @@ from hiergraph import (
     to_dot,
     validate_graph,
 )
-from hiergraph.corpus import TokenLabeling, parse_dataset
-from hiergraph.evaluation import ReportCounts
+from hiergraph.corpus import TokenLabeling, _loaded, parse_dataset
+from hiergraph.evaluation import ReportCounts, _match_keys
 from hiergraph.schema import (
     SPLITS,
     STRUCTURAL_RULES,
     Violation,
+    _record_head,
+    _record_keys,
     label_group,
     normalize_label,
 )
@@ -588,6 +591,21 @@ class TestLoadingRules:
         findings = validate_graph(parse_report("d", rec))
         assert [(v.rule, v.severity) for v in findings] == [("bad_signature", "error")]
         assert parse_dataset({"d": rec}).reports == [parse_report("d", rec)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(records())
+    def test_key_reader_refuses_what_the_loader_refuses(self, record):
+        """``_record_keys`` refuses a record exactly when the loader
+        raises on it, and otherwise gives the loaded report's keys."""
+        try:
+            loaded = _match_keys(_loaded("d", record))
+        except HierGraphError:
+            loaded = None
+        try:
+            keys = _record_keys("d", _record_head("d", record))
+        except MalformedRecord:
+            keys = None
+        assert keys == loaded
 
 
 # One value of each frozen record, as positional arguments.
